@@ -283,26 +283,46 @@ void bench_rd_direct(bench::BenchOutput& out, const CliArgs& args) {
   const int ranks = static_cast<int>(args.get_int("ranks", 27));
   const int axis = static_cast<int>(args.get_int("axis", 6));
   const int steps = static_cast<int>(args.get_int("steps", 6));
-  const int reps = static_cast<int>(args.get_int("rd_reps", 2));
+  const int reps = static_cast<int>(args.get_int("rd_reps", 15));
 
-  Table table({"ranks", "cells", "steps", "ref[s]", "fast[s]", "speedup"});
+  Table table({"ranks", "cells", "steps", "ref[s]", "ref_max[s]", "fast[s]",
+               "fast_max[s]", "speedup", "pair_median"});
   for (const int p : {1, ranks}) {
-    auto run = [&](la::KernelMode mode) {
+    // Reference and fast repetitions run in back-to-back pairs (alternating
+    // which goes first), so a burst of host load hits both modes rather
+    // than one mode's whole block. `speedup` is best over best; min/max per
+    // mode and the median of the per-pair ratios show the spread.
+    std::vector<double> ref, fast, ratio;
+    auto once = [&](la::KernelMode mode, std::vector<double>& into) {
       la::set_kernel_mode(mode);
-      double best = std::numeric_limits<double>::infinity();
-      for (int r = 0; r < reps; ++r) {
-        best = std::min(best, rd_step_host_s(p, axis, steps));
-      }
-      return best;
+      into.push_back(rd_step_host_s(p, axis, steps));
     };
-    const double ref_s = run(la::KernelMode::kReference);
-    const double fast_s = run(la::KernelMode::kFast);
+    for (int r = 0; r < reps; ++r) {
+      if (r % 2 == 0) {
+        once(la::KernelMode::kReference, ref);
+        once(la::KernelMode::kFast, fast);
+      } else {
+        once(la::KernelMode::kFast, fast);
+        once(la::KernelMode::kReference, ref);
+      }
+      ratio.push_back(ref.back() / fast.back());
+    }
+    std::sort(ratio.begin(), ratio.end());
+    const std::size_t mid = ratio.size() / 2;
+    const double median = ratio.size() % 2 == 1
+                              ? ratio[mid]
+                              : 0.5 * (ratio[mid - 1] + ratio[mid]);
+    const auto [ref_min, ref_max] = std::minmax_element(ref.begin(), ref.end());
+    const auto [fast_min, fast_max] =
+        std::minmax_element(fast.begin(), fast.end());
     const int per_axis = static_cast<int>(std::lround(std::cbrt(p)));
     table.add_row({fmt_int(p), fmt_int(axis * per_axis), fmt_int(steps),
-                   fmt(ref_s), fmt(fast_s), fmt(ref_s / fast_s)});
+                   fmt(*ref_min), fmt(*ref_max), fmt(*fast_min),
+                   fmt(*fast_max), fmt(*ref_min / *fast_min), fmt(median)});
   }
-  std::cout << "## RD direct per-iteration host time (P2, CG+ILU0, "
-            << axis << " cells/rank-axis)\n";
+  std::cout << "## RD direct per-iteration host time (P2, CG+ILU0, " << axis
+            << " cells/rank-axis; best and worst of " << reps
+            << " interleaved repetition pairs)\n";
   out.emit(table, "rd_direct");
   std::cout << "\n";
 }

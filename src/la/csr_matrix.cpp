@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "la/kernels.hpp"
 #include "support/error.hpp"
@@ -42,6 +43,24 @@ CsrMatrix CsrMatrix::from_triplets(int rows, int cols,
     m.row_ptr_[static_cast<std::size_t>(r) + 1] =
         static_cast<std::int64_t>(m.col_idx_.size());
   }
+  return m;
+}
+
+CsrMatrix CsrMatrix::from_pattern(int rows, int cols,
+                                  std::vector<std::int64_t> row_ptr,
+                                  std::vector<int> col_idx) {
+  HETERO_REQUIRE(rows >= 0 && cols >= 0, "matrix shape must be non-negative");
+  HETERO_REQUIRE(row_ptr.size() == static_cast<std::size_t>(rows) + 1 &&
+                     row_ptr.front() == 0 &&
+                     row_ptr.back() ==
+                         static_cast<std::int64_t>(col_idx.size()),
+                 "from_pattern: row_ptr does not match col_idx");
+  CsrMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.row_ptr_ = std::move(row_ptr);
+  m.col_idx_ = std::move(col_idx);
+  m.values_.assign(m.col_idx_.size(), 0.0);
   return m;
 }
 

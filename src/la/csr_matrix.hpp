@@ -38,6 +38,12 @@ class CsrMatrix {
   static CsrMatrix from_triplets(int rows, int cols,
                                  std::span<const Triplet> triplets);
 
+  /// Adopts a prebuilt pattern with zero values. `row_ptr` has rows + 1
+  /// entries; each row's columns must be strictly ascending and < `cols`.
+  static CsrMatrix from_pattern(int rows, int cols,
+                                std::vector<std::int64_t> row_ptr,
+                                std::vector<int> col_idx);
+
   int rows() const { return rows_; }
   int cols() const { return cols_; }
   std::int64_t nonzeros() const {

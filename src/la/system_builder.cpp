@@ -1,11 +1,92 @@
 #include "la/system_builder.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <type_traits>
+#include <unordered_map>
+#include <utility>
 
 #include "la/kernels.hpp"
 #include "support/error.hpp"
 
 namespace hetero::la {
+
+namespace {
+
+/// Dense codes for the gids met during the freeze: a touched gid maps to
+/// its index in the sorted touched list, any other gid (a column outside
+/// this rank's touched set, which becomes an extra ghost) to
+/// touched.size() + the order it was first seen in. A small direct-mapped
+/// cache sits in front of the hash maps, since FEM assembly repeats each
+/// element's gids across the element's rows and columns and its
+/// neighbours; it cuts a 12^3 Taylor-Hood NS freeze by about a quarter.
+class GidCoder {
+ public:
+  explicit GidCoder(const std::unordered_map<GlobalId, std::int32_t>& touched)
+      : touched_(touched), cache_(kCacheSize) {}
+
+  std::int32_t code(GlobalId gid) {
+    Slot& slot = cache_[static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(gid) * 0x9E3779B97F4A7C15ULL) >>
+        (64 - kCacheBits))];
+    if (slot.code < 0 || slot.gid != gid) {
+      slot.gid = gid;
+      slot.code = lookup(gid);
+    }
+    return slot.code;
+  }
+
+  const std::vector<GlobalId>& extras() const { return extras_; }
+
+ private:
+  static constexpr int kCacheBits = 10;
+  static constexpr std::size_t kCacheSize = std::size_t{1} << kCacheBits;
+  struct Slot {
+    GlobalId gid = 0;
+    std::int32_t code = -1;
+  };
+
+  std::int32_t lookup(GlobalId gid) {
+    if (const auto it = touched_.find(gid); it != touched_.end()) {
+      return it->second;
+    }
+    const auto [it, inserted] = extra_code_.try_emplace(
+        gid, static_cast<std::int32_t>(touched_.size() + extras_.size()));
+    if (inserted) {
+      extras_.push_back(gid);
+    }
+    return it->second;
+  }
+
+  const std::unordered_map<GlobalId, std::int32_t>& touched_;
+  std::vector<Slot> cache_;
+  std::unordered_map<GlobalId, std::int32_t> extra_code_;
+  std::vector<GlobalId> extras_;
+};
+
+/// Frees a container's storage (`c = {}` would keep the capacity).
+template <class T>
+void release(T& c) {
+  T().swap(c);
+}
+
+template <class T>
+std::size_t capacity_bytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+/// Per-rank block offsets of a flat buffer holding `blocks` back to back.
+template <class T>
+std::vector<std::size_t> block_offsets(
+    const std::vector<std::vector<T>>& blocks) {
+  std::vector<std::size_t> off(blocks.size() + 1, 0);
+  for (std::size_t r = 0; r < blocks.size(); ++r) {
+    off[r + 1] = off[r] + blocks[r].size();
+  }
+  return off;
+}
+
+}  // namespace
 
 DistSystemBuilder::DistSystemBuilder(simmpi::Comm& comm,
                                      std::vector<GlobalId> touched)
@@ -14,59 +95,78 @@ DistSystemBuilder::DistSystemBuilder(simmpi::Comm& comm,
   touched_.erase(std::unique(touched_.begin(), touched_.end()),
                  touched_.end());
   directory_ = GidDirectory::build(comm, touched_);
-  const auto owners = directory_->lookup(comm, touched_);
-  touched_owner_.reserve(touched_.size());
-  for (std::size_t i = 0; i < touched_.size(); ++i) {
-    touched_owner_.emplace(touched_[i], owners[i]);
-  }
+  touched_owner_ = directory_->lookup(comm, touched_);
 }
 
 void DistSystemBuilder::begin_assembly() {
   mat_pending_.clear();
   rhs_pending_.clear();
-  if (frozen_ && kernel_mode() == KernelMode::kFast) {
-    begin_fast_round();
-  } else {
-    fast_round_ = false;
+  mat_pos_ = 0;
+  rhs_pos_ = 0;
+  scatter_on_add_ = frozen_ && kernel_mode() == KernelMode::kFast;
+  if (!frozen_) {
+    return;
   }
+  col_idx_ = matrix_->local().col_idx().data();
+  if (scatter_on_add_) {
+    // Zero up front (the reference replay zeroes at finalize); kept
+    // entries then accumulate in add order, exactly the prefix of the
+    // reference accumulation sequence.
+    auto values = matrix_->local_mut().values_mut();
+    std::fill(values.begin(), values.end(), 0.0);
+    values_ = values.data();
+    rhs_->set_all(0.0);
+  }
+}
+
+void DistSystemBuilder::check_matrix_entry(std::int32_t dest, GlobalId row,
+                                           GlobalId col) const {
+  bool same;
+  if (dest >= 0) {
+    same = gid_of_[row_of_slot_[static_cast<std::size_t>(dest)]] == row &&
+           gid_of_[col_idx_[dest]] == col;
+  } else {
+    const auto pos = static_cast<std::size_t>(~dest);
+    same = gid_of_[mat_routed_row_[pos]] == row && mat_routed_col_[pos] == col;
+  }
+  HETERO_REQUIRE(same, "refill changed the matrix sparsity sequence");
+}
+
+std::size_t DistSystemBuilder::take_matrix_dests(std::size_t n) {
+  HETERO_REQUIRE(n <= mat_dest_.size() - mat_pos_,
+                 "refill produced a different number of matrix entries");
+  const std::size_t first = mat_pos_;
+  mat_pos_ += n;
+  return first;
+}
+
+void DistSystemBuilder::check_rhs_entry(std::int32_t dest,
+                                        GlobalId row) const {
+  const std::int32_t lid =
+      dest >= 0 ? dest : rhs_routed_row_[static_cast<std::size_t>(~dest)];
+  HETERO_REQUIRE(gid_of_[lid] == row, "refill changed the rhs sequence");
 }
 
 void DistSystemBuilder::add_matrix(GlobalId row, GlobalId col, double value) {
-  if (fast_round_) {
-    const std::size_t i = mat_fast_pos_++;
-    HETERO_REQUIRE(i < mat_sequence_.size(),
-                   "refill produced a different number of matrix entries");
-    HETERO_REQUIRE(mat_sequence_[i].row == row && mat_sequence_[i].col == col,
-                   "refill changed the matrix sparsity sequence");
-    const std::int64_t slot = mat_fast_slot_[i];
-    if (slot >= 0) {
-      fast_values_[slot] += value;
-    } else {
-      mat_route_vals_[static_cast<std::size_t>(mat_fast_rank_[i])]
-                     [static_cast<std::size_t>(mat_fast_off_[i])] = value;
-    }
+  if (!scatter_on_add_) {
+    mat_pending_.push_back({row, col, value});
     return;
   }
-  mat_pending_.push_back({row, col, value});
+  const std::int32_t dest = mat_dest_[take_matrix_dests(1)];
+  check_matrix_entry(dest, row, col);
+  scatter_matrix(dest, value);
 }
 
 void DistSystemBuilder::add_rhs(GlobalId row, double value) {
-  if (fast_round_) {
-    const std::size_t i = rhs_fast_pos_++;
-    HETERO_REQUIRE(i < rhs_sequence_.size(),
-                   "refill produced a different number of rhs entries");
-    HETERO_REQUIRE(rhs_sequence_[i].row == row,
-                   "refill changed the rhs sequence");
-    const std::int32_t lid = rhs_fast_lid_[i];
-    if (lid >= 0) {
-      (*rhs_)[lid] += value;
-    } else {
-      rhs_route_vals_[static_cast<std::size_t>(rhs_fast_rank_[i])]
-                     [static_cast<std::size_t>(rhs_fast_off_[i])] = value;
-    }
+  if (!scatter_on_add_) {
+    rhs_pending_.push_back({row, value});
     return;
   }
-  rhs_pending_.push_back({row, value});
+  HETERO_REQUIRE(rhs_pos_ < rhs_dest_.size(),
+                 "refill produced a different number of rhs entries");
+  const std::int32_t dest = rhs_dest_[rhs_pos_++];
+  check_rhs_entry(dest, row);
+  scatter_rhs(dest, value);
 }
 
 void DistSystemBuilder::add_dense_block(std::span<const GlobalId> rows,
@@ -75,9 +175,22 @@ void DistSystemBuilder::add_dense_block(std::span<const GlobalId> rows,
   HETERO_REQUIRE(block.size() == rows.size() * cols.size(),
                  "add_dense_block: block shape mismatch");
   std::size_t k = 0;
+  if (!scatter_on_add_) {
+    for (const GlobalId row : rows) {
+      for (const GlobalId col : cols) {
+        add_matrix(row, col, block[k++]);
+      }
+    }
+    return;
+  }
+  // Fast refill: one bounds check for the whole block.
+  const std::int32_t* dest =
+      mat_dest_.data() + take_matrix_dests(block.size());
   for (const GlobalId row : rows) {
     for (const GlobalId col : cols) {
-      add_matrix(row, col, block[k++]);
+      check_matrix_entry(dest[k], row, col);
+      scatter_matrix(dest[k], block[k]);
+      ++k;
     }
   }
 }
@@ -91,271 +204,338 @@ void DistSystemBuilder::add_rhs_block(std::span<const GlobalId> rows,
   }
 }
 
-int DistSystemBuilder::owner_of_row(GlobalId row) const {
-  const auto it = touched_owner_.find(row);
-  HETERO_REQUIRE(it != touched_owner_.end(),
-                 "contribution to a row this rank never declared as touched");
-  return it->second;
-}
-
 void DistSystemBuilder::finalize(simmpi::Comm& comm) {
   if (!frozen_) {
-    first_finalize(comm);
-  } else if (fast_round_) {
-    fast_replay_finalize(comm);
+    freeze(comm);
   } else {
-    replay_finalize(comm);
+    refill(comm);
   }
+  mat_pending_.clear();
+  rhs_pending_.clear();
+  mat_pos_ = 0;
+  rhs_pos_ = 0;
+  scatter_on_add_ = false;
 }
 
-void DistSystemBuilder::build_fast_plan() {
-  const std::size_t p = mat_route_.size();
-
-  mat_kept_count_ = static_cast<std::int64_t>(mat_kept_.size());
-  mat_fast_slot_.assign(mat_sequence_.size(), -1);
-  mat_fast_rank_.assign(mat_sequence_.size(), -1);
-  mat_fast_off_.assign(mat_sequence_.size(), -1);
-  for (std::size_t j = 0; j < mat_kept_.size(); ++j) {
-    mat_fast_slot_[mat_kept_[j]] = mat_slots_[j];
-  }
-  mat_route_vals_.assign(p, {});
-  for (std::size_t r = 0; r < p; ++r) {
-    mat_route_vals_[r].resize(mat_route_[r].size());
-    for (std::size_t off = 0; off < mat_route_[r].size(); ++off) {
-      mat_fast_rank_[mat_route_[r][off]] = static_cast<std::int32_t>(r);
-      mat_fast_off_[mat_route_[r][off]] = static_cast<std::int32_t>(off);
-    }
-  }
-
-  rhs_kept_count_ = rhs_kept_.size();
-  rhs_fast_lid_.assign(rhs_sequence_.size(), -1);
-  rhs_fast_rank_.assign(rhs_sequence_.size(), -1);
-  rhs_fast_off_.assign(rhs_sequence_.size(), -1);
-  for (std::size_t j = 0; j < rhs_kept_.size(); ++j) {
-    rhs_fast_lid_[rhs_kept_[j]] = rhs_slots_[j];
-  }
-  rhs_route_vals_.assign(p, {});
-  for (std::size_t r = 0; r < p; ++r) {
-    rhs_route_vals_[r].resize(rhs_route_[r].size());
-    for (std::size_t off = 0; off < rhs_route_[r].size(); ++off) {
-      rhs_fast_rank_[rhs_route_[r][off]] = static_cast<std::int32_t>(r);
-      rhs_fast_off_[rhs_route_[r][off]] = static_cast<std::int32_t>(off);
-    }
-  }
-  fast_plan_built_ = true;
-}
-
-void DistSystemBuilder::begin_fast_round() {
-  if (!fast_plan_built_) {
-    build_fast_plan();
-  }
-  mat_fast_pos_ = 0;
-  rhs_fast_pos_ = 0;
-  // Zero up front (the reference replay zeroes at finalize); kept entries
-  // then accumulate in add order, exactly the prefix of the reference
-  // accumulation sequence.
-  auto values = matrix_->local_mut().values_mut();
-  std::fill(values.begin(), values.end(), 0.0);
-  fast_values_ = values.data();
-  rhs_->set_all(0.0);
-  fast_round_ = true;
-}
-
-void DistSystemBuilder::fast_replay_finalize(simmpi::Comm& comm) {
-  HETERO_REQUIRE(mat_fast_pos_ == mat_sequence_.size(),
-                 "refill produced a different number of matrix entries");
-  HETERO_REQUIRE(rhs_fast_pos_ == rhs_sequence_.size(),
-                 "refill produced a different number of rhs entries");
-  // Kept values are already in place; ship the routed blocks and accumulate
-  // them after, per source rank — the reference replay's order.
-  const auto mat_in = comm.alltoallv(mat_route_vals_);
-  const auto rhs_in = comm.alltoallv(rhs_route_vals_);
-
-  auto values = matrix_->local_mut().values_mut();
-  std::size_t k = static_cast<std::size_t>(mat_kept_count_);
-  for (const auto& block : mat_in) {
-    for (double v : block) {
-      values[static_cast<std::size_t>(mat_slots_[k++])] += v;
-    }
-  }
-  HETERO_CHECK(k == mat_slots_.size());
-
-  k = rhs_kept_count_;
-  for (const auto& block : rhs_in) {
-    for (double v : block) {
-      (*rhs_)[rhs_slots_[k++]] += v;
-    }
-  }
-  HETERO_CHECK(k == rhs_slots_.size());
-  fast_round_ = false;
-  fast_values_ = nullptr;
-}
-
-void DistSystemBuilder::first_finalize(simmpi::Comm& comm) {
+void DistSystemBuilder::freeze(simmpi::Comm& comm) {
   const int p = comm.size();
   const int me = comm.rank();
+  const std::size_t n_touched = touched_.size();
+  const std::size_t n_mat = mat_pending_.size();
+  const std::size_t n_rhs = rhs_pending_.size();
 
-  // ---- route matrix triplets by row owner -------------------------------
-  mat_route_.assign(static_cast<std::size_t>(p), {});
-  mat_kept_.clear();
-  for (std::size_t i = 0; i < mat_pending_.size(); ++i) {
-    const int owner = owner_of_row(mat_pending_[i].row);
-    if (owner == me) {
-      mat_kept_.push_back(i);
-    } else {
-      mat_route_[static_cast<std::size_t>(owner)].push_back(i);
+  // The map numbers owned gids first, in gid order, and touched_ is
+  // gid-sorted, so owned rows have their final local ids already.
+  std::vector<std::int32_t> owned_lid(n_touched, -1);
+  std::int32_t owned = 0;
+  for (std::size_t t = 0; t < n_touched; ++t) {
+    if (touched_owner_[t] == me) {
+      owned_lid[t] = owned++;
     }
   }
-  std::vector<std::vector<GlobalTriplet>> mat_out(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    for (std::size_t i : mat_route_[static_cast<std::size_t>(r)]) {
-      mat_out[static_cast<std::size_t>(r)].push_back(mat_pending_[i]);
+  std::unordered_map<GlobalId, std::int32_t> touched_index;
+  touched_index.reserve(n_touched);
+  for (std::size_t t = 0; t < n_touched; ++t) {
+    touched_index.emplace(touched_[t], static_cast<std::int32_t>(t));
+  }
+  GidCoder coder(touched_index);
+  auto row_index = [&](GlobalId row) {
+    const std::int32_t t = coder.code(row);
+    HETERO_REQUIRE(static_cast<std::size_t>(t) < n_touched,
+                   "contribution to a row this rank never declared as "
+                   "touched");
+    return t;
+  };
+  auto owned_row = [&](GlobalId row) {
+    const std::int32_t lid =
+        owned_lid[static_cast<std::size_t>(row_index(row))];
+    HETERO_CHECK(lid >= 0);
+    return lid;
+  };
+
+  // ---- route entries by row owner ---------------------------------------
+  // Kept entries park their owned row in `dest` until the slots exist.
+  // Routed ones get ~(flat send position): the per-rank send blocks back to
+  // back, each in add order. `routed_row` holds each routed entry's touched
+  // index until the map gives it a local id.
+  auto route = [&](const auto& pending, std::vector<std::int32_t>& dest,
+                   std::vector<std::int32_t>& routed_row,
+                   std::vector<std::size_t>& send_off) {
+    std::vector<std::vector<std::decay_t<decltype(pending[0])>>> out(
+        static_cast<std::size_t>(p));
+    dest.resize(pending.size());
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      const auto t = static_cast<std::size_t>(row_index(pending[i].row));
+      const int owner = touched_owner_[t];
+      if (owner == me) {
+        dest[i] = owned_lid[t];
+      } else {
+        dest[i] = ~owner;
+        out[static_cast<std::size_t>(owner)].push_back(pending[i]);
+      }
+    }
+    send_off = block_offsets(out);
+    std::vector<std::size_t> next(send_off.begin(), send_off.end() - 1);
+    routed_row.resize(send_off.back());
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (dest[i] < 0) {
+        const std::size_t pos = next[static_cast<std::size_t>(~dest[i])]++;
+        dest[i] = ~static_cast<std::int32_t>(pos);
+        routed_row[pos] = row_index(pending[i].row);
+      }
+    }
+    return out;
+  };
+  // Number of entries in a set of received blocks.
+  auto count = [](const auto& blocks) {
+    std::size_t n = 0;
+    for (const auto& block : blocks) {
+      n += block.size();
+    }
+    return n;
+  };
+
+  std::vector<std::vector<GlobalTriplet>> mat_in;
+  {
+    auto mat_out =
+        route(mat_pending_, mat_dest_, mat_routed_row_, mat_send_off_);
+    mat_routed_col_.resize(mat_send_off_.back());
+    for (std::size_t r = 0; r < mat_out.size(); ++r) {
+      for (std::size_t j = 0; j < mat_out[r].size(); ++j) {
+        mat_routed_col_[mat_send_off_[r] + j] = mat_out[r][j].col;
+      }
+    }
+    mat_in = comm.alltoallv(mat_out);
+  }
+  const std::size_t n_recv = count(mat_in);
+  HETERO_REQUIRE(n_mat + n_recv <=
+                     static_cast<std::size_t>(
+                         std::numeric_limits<std::int32_t>::max()),
+                 "assembly round too large for the 32-bit replay plan");
+
+  // row_start counts entries per owned row, then becomes bucket offsets.
+  std::vector<std::int64_t> row_start(static_cast<std::size_t>(owned) + 1, 0);
+  for (const std::int32_t r : mat_dest_) {
+    if (r >= 0) {
+      ++row_start[static_cast<std::size_t>(r) + 1];
     }
   }
-  const auto mat_in = comm.alltoallv(mat_out);
-
-  // Combined deterministic order: kept first, then per-source blocks.
-  std::vector<GlobalTriplet> combined;
-  combined.reserve(mat_kept_.size());
-  for (std::size_t i : mat_kept_) {
-    combined.push_back(mat_pending_[i]);
-  }
+  mat_recv_slot_.resize(n_recv);
+  std::size_t k = 0;
   for (const auto& block : mat_in) {
-    combined.insert(combined.end(), block.begin(), block.end());
+    for (const auto& e : block) {
+      const std::int32_t r = owned_row(e.row);
+      mat_recv_slot_[k++] = r;
+      ++row_start[static_cast<std::size_t>(r) + 1];
+    }
+  }
+  for (std::size_t r = 0; r < static_cast<std::size_t>(owned); ++r) {
+    row_start[r + 1] += row_start[r];
   }
 
-  // ---- route rhs pairs ---------------------------------------------------
-  rhs_route_.assign(static_cast<std::size_t>(p), {});
-  rhs_kept_.clear();
-  for (std::size_t i = 0; i < rhs_pending_.size(); ++i) {
-    const int owner = owner_of_row(rhs_pending_[i].row);
-    if (owner == me) {
-      rhs_kept_.push_back(i);
-    } else {
-      rhs_route_[static_cast<std::size_t>(owner)].push_back(i);
-    }
-  }
-  std::vector<std::vector<GlobalPair>> rhs_out(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    for (std::size_t i : rhs_route_[static_cast<std::size_t>(r)]) {
-      rhs_out[static_cast<std::size_t>(r)].push_back(rhs_pending_[i]);
-    }
-  }
-  const auto rhs_in = comm.alltoallv(rhs_out);
-  std::vector<GlobalPair> rhs_combined;
-  for (std::size_t i : rhs_kept_) {
-    rhs_combined.push_back(rhs_pending_[i]);
-  }
+  const auto rhs_in = comm.alltoallv(
+      route(rhs_pending_, rhs_dest_, rhs_routed_row_, rhs_send_off_));
+  rhs_recv_lid_.resize(count(rhs_in));
+  k = 0;
   for (const auto& block : rhs_in) {
-    rhs_combined.insert(rhs_combined.end(), block.begin(), block.end());
-  }
-
-  // ---- resolve columns and build the index map ---------------------------
-  std::vector<GlobalId> extra;
-  for (const auto& t : combined) {
-    if (touched_owner_.find(t.col) == touched_owner_.end()) {
-      extra.push_back(t.col);
+    for (const auto& e : block) {
+      rhs_recv_lid_[k++] = owned_row(e.row);
     }
   }
-  map_ = IndexMap::build(comm, *directory_, touched_, extra);
-  halo_ = std::make_unique<HaloExchange>(comm, *map_);
 
-  // ---- build the CSR pattern + value slots --------------------------------
-  std::vector<Triplet> local;
-  local.reserve(combined.size());
-  for (const auto& t : combined) {
-    const int rl = map_->local(t.row);
-    const int cl = map_->local(t.col);
-    HETERO_CHECK(rl != kInvalidLocal && map_->is_owned_local(rl));
-    HETERO_CHECK(cl != kInvalidLocal);
-    local.push_back({rl, cl, t.value});
+  // ---- bucket column codes per owned row ---------------------------------
+  // Key = column code << 32 | entry id (added entries 0..n_mat-1, received
+  // entries after them). Columns outside touched_ become extra ghosts.
+  std::vector<std::uint64_t> bucket(
+      static_cast<std::size_t>(row_start.back()));
+  {
+    std::vector<std::int64_t> next(row_start.begin(), row_start.end() - 1);
+    auto put = [&](std::int32_t row, GlobalId col, std::size_t id) {
+      bucket[static_cast<std::size_t>(next[static_cast<std::size_t>(row)]++)] =
+          static_cast<std::uint64_t>(coder.code(col)) << 32 | id;
+    };
+    for (std::size_t i = 0; i < n_mat; ++i) {
+      if (mat_dest_[i] >= 0) {
+        put(mat_dest_[i], mat_pending_[i].col, i);
+      }
+    }
+    k = 0;
+    for (const auto& block : mat_in) {
+      for (const auto& e : block) {
+        put(mat_recv_slot_[k], e.col, n_mat + k);
+        ++k;
+      }
+    }
   }
-  CsrMatrix csr = CsrMatrix::from_triplets(map_->owned_count(),
-                                           map_->local_count(), local);
-  mat_slots_.resize(combined.size());
-  for (std::size_t i = 0; i < combined.size(); ++i) {
-    mat_slots_[i] = csr.slot(local[i].row, local[i].col);
-    HETERO_CHECK(mat_slots_[i] >= 0);
+
+  map_ = IndexMap::build(comm, *directory_, touched_, coder.extras());
+  halo_ = std::make_unique<HaloExchange>(comm, *map_);
+  HETERO_CHECK(map_->owned_count() == owned);
+
+  // Column code -> local id.
+  std::vector<std::int32_t> lid_of_code(n_touched + coder.extras().size());
+  for (std::size_t t = 0; t < n_touched; ++t) {
+    lid_of_code[t] = map_->local(touched_[t]);
+    HETERO_CHECK(lid_of_code[t] != kInvalidLocal &&
+                 (owned_lid[t] < 0 || owned_lid[t] == lid_of_code[t]));
+  }
+  for (std::size_t e = 0; e < coder.extras().size(); ++e) {
+    lid_of_code[n_touched + e] = map_->local(coder.extras()[e]);
+    HETERO_CHECK(lid_of_code[n_touched + e] != kInvalidLocal);
+  }
+
+  // ---- CSR pattern: sort and deduplicate each short row -------------------
+  // Only a row's distinct columns are translated to local ids and sorted;
+  // its entries find their slot through the column code.
+  std::vector<std::int64_t> row_ptr(static_cast<std::size_t>(owned) + 1, 0);
+  std::vector<int> col_idx;
+  std::vector<std::int32_t> slot_of_code(lid_of_code.size(), -1);
+  std::vector<std::pair<std::int32_t, std::uint32_t>> cols;  // (lid, code)
+  for (std::size_t r = 0; r < static_cast<std::size_t>(owned); ++r) {
+    const auto begin = static_cast<std::size_t>(row_start[r]);
+    const auto end = static_cast<std::size_t>(row_start[r + 1]);
+    cols.clear();
+    for (std::size_t b = begin; b < end; ++b) {
+      const auto code = static_cast<std::uint32_t>(bucket[b] >> 32);
+      if (slot_of_code[code] < 0) {
+        slot_of_code[code] = 0;
+        cols.emplace_back(lid_of_code[code], code);
+      }
+    }
+    std::sort(cols.begin(), cols.end());
+    for (const auto& [lid, code] : cols) {
+      slot_of_code[code] = static_cast<std::int32_t>(col_idx.size());
+      col_idx.push_back(lid);
+      row_of_slot_.push_back(static_cast<std::int32_t>(r));
+    }
+    for (std::size_t b = begin; b < end; ++b) {
+      const std::int32_t slot = slot_of_code[bucket[b] >> 32];
+      const std::size_t id = bucket[b] & 0xffffffffu;
+      if (id < n_mat) {
+        mat_dest_[id] = slot;
+      } else {
+        mat_recv_slot_[id - n_mat] = slot;
+      }
+    }
+    for (const auto& [lid, code] : cols) {
+      slot_of_code[code] = -1;
+    }
+    row_ptr[r + 1] = static_cast<std::int64_t>(col_idx.size());
+  }
+  release(bucket);
+  col_idx.shrink_to_fit();
+  row_of_slot_.shrink_to_fit();
+  CsrMatrix csr = CsrMatrix::from_pattern(owned, map_->local_count(),
+                                          std::move(row_ptr),
+                                          std::move(col_idx));
+
+  // ---- routed entries: final row local ids -------------------------------
+  for (std::int32_t& row : mat_routed_row_) {
+    row = lid_of_code[static_cast<std::size_t>(row)];
+  }
+  for (std::int32_t& row : rhs_routed_row_) {
+    row = lid_of_code[static_cast<std::size_t>(row)];
+  }
+  mat_send_.assign(mat_send_off_.back(), 0.0);
+  rhs_send_.assign(rhs_send_off_.back(), 0.0);
+
+  // ---- first-round values, in replay order -------------------------------
+  // Kept entries in add order, then the per-source-rank blocks: the order
+  // every refill sums in, so an identical refill reproduces these bits.
+  auto values = csr.values_mut();
+  for (std::size_t i = 0; i < n_mat; ++i) {
+    if (mat_dest_[i] >= 0) {
+      values[static_cast<std::size_t>(mat_dest_[i])] += mat_pending_[i].value;
+    }
+  }
+  k = 0;
+  for (const auto& block : mat_in) {
+    for (const auto& e : block) {
+      values[static_cast<std::size_t>(mat_recv_slot_[k++])] += e.value;
+    }
   }
   matrix_.emplace(*map_, *halo_, std::move(csr));
 
   rhs_.emplace(*map_);
-  rhs_slots_.resize(rhs_combined.size());
-  for (std::size_t i = 0; i < rhs_combined.size(); ++i) {
-    const int rl = map_->local(rhs_combined[i].row);
-    HETERO_CHECK(rl != kInvalidLocal && map_->is_owned_local(rl));
-    rhs_slots_[i] = rl;
-    (*rhs_)[rl] += rhs_combined[i].value;
+  for (std::size_t i = 0; i < n_rhs; ++i) {
+    if (rhs_dest_[i] >= 0) {
+      (*rhs_)[rhs_dest_[i]] += rhs_pending_[i].value;
+    }
+  }
+  k = 0;
+  for (const auto& block : rhs_in) {
+    for (const auto& e : block) {
+      (*rhs_)[rhs_recv_lid_[k++]] += e.value;
+    }
   }
 
-  mat_sequence_ = std::move(mat_pending_);
-  rhs_sequence_ = std::move(rhs_pending_);
-  mat_pending_.clear();
-  rhs_pending_.clear();
+  // The first round's buffers are freeze scratch.
+  release(mat_pending_);
+  release(rhs_pending_);
+  gid_of_ = map_->gids().data();
+  col_idx_ = matrix_->local().col_idx().data();
   frozen_ = true;
 }
 
-void DistSystemBuilder::replay_finalize(simmpi::Comm& comm) {
-  const int p = comm.size();
-  HETERO_REQUIRE(mat_pending_.size() == mat_sequence_.size(),
-                 "refill produced a different number of matrix entries");
-  HETERO_REQUIRE(rhs_pending_.size() == rhs_sequence_.size(),
-                 "refill produced a different number of rhs entries");
-  // Structural identity check (indices must repeat exactly).
-  for (std::size_t i = 0; i < mat_pending_.size(); ++i) {
-    HETERO_REQUIRE(mat_pending_[i].row == mat_sequence_[i].row &&
-                       mat_pending_[i].col == mat_sequence_[i].col,
-                   "refill changed the matrix sparsity sequence");
-  }
-  for (std::size_t i = 0; i < rhs_pending_.size(); ++i) {
-    HETERO_REQUIRE(rhs_pending_[i].row == rhs_sequence_[i].row,
-                   "refill changed the rhs sequence");
-  }
-
-  // Ship values only, in the frozen routing order.
-  std::vector<std::vector<double>> mat_out(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    for (std::size_t i : mat_route_[static_cast<std::size_t>(r)]) {
-      mat_out[static_cast<std::size_t>(r)].push_back(mat_pending_[i].value);
-    }
-  }
-  const auto mat_in = comm.alltoallv(mat_out);
-  std::vector<std::vector<double>> rhs_out(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    for (std::size_t i : rhs_route_[static_cast<std::size_t>(r)]) {
-      rhs_out[static_cast<std::size_t>(r)].push_back(rhs_pending_[i].value);
-    }
-  }
-  const auto rhs_in = comm.alltoallv(rhs_out);
-
+void DistSystemBuilder::refill(simmpi::Comm& comm) {
   auto values = matrix_->local_mut().values_mut();
-  std::fill(values.begin(), values.end(), 0.0);
-  std::size_t k = 0;
-  for (std::size_t i : mat_kept_) {
-    values[static_cast<std::size_t>(mat_slots_[k++])] +=
-        mat_pending_[i].value;
+  values_ = values.data();
+  if (scatter_on_add_) {
+    HETERO_REQUIRE(mat_pos_ == mat_dest_.size(),
+                   "refill produced a different number of matrix entries");
+    HETERO_REQUIRE(rhs_pos_ == rhs_dest_.size(),
+                   "refill produced a different number of rhs entries");
+  } else {
+    // Reference replay: check and scatter the buffered round now, in add
+    // order.
+    HETERO_REQUIRE(mat_pending_.size() == mat_dest_.size(),
+                   "refill produced a different number of matrix entries");
+    HETERO_REQUIRE(rhs_pending_.size() == rhs_dest_.size(),
+                   "refill produced a different number of rhs entries");
+    std::fill(values.begin(), values.end(), 0.0);
+    for (std::size_t i = 0; i < mat_pending_.size(); ++i) {
+      const GlobalTriplet& e = mat_pending_[i];
+      check_matrix_entry(mat_dest_[i], e.row, e.col);
+      scatter_matrix(mat_dest_[i], e.value);
+    }
+    rhs_->set_all(0.0);
+    for (std::size_t i = 0; i < rhs_pending_.size(); ++i) {
+      check_rhs_entry(rhs_dest_[i], rhs_pending_[i].row);
+      scatter_rhs(rhs_dest_[i], rhs_pending_[i].value);
+    }
   }
+  // Kept values are in place; ship the routed blocks and accumulate them
+  // after, per source rank.
+  const auto mat_in = comm.alltoallv(mat_send_, mat_send_off_);
+  const auto rhs_in = comm.alltoallv(rhs_send_, rhs_send_off_);
+
+  std::size_t k = 0;
   for (const auto& block : mat_in) {
     for (double v : block) {
-      values[static_cast<std::size_t>(mat_slots_[k++])] += v;
+      values_[mat_recv_slot_[k++]] += v;
     }
   }
-  HETERO_CHECK(k == mat_slots_.size());
-
-  rhs_->set_all(0.0);
+  HETERO_CHECK(k == mat_recv_slot_.size());
   k = 0;
-  for (std::size_t i : rhs_kept_) {
-    (*rhs_)[rhs_slots_[k++]] += rhs_pending_[i].value;
-  }
   for (const auto& block : rhs_in) {
     for (double v : block) {
-      (*rhs_)[rhs_slots_[k++]] += v;
+      (*rhs_)[rhs_recv_lid_[k++]] += v;
     }
   }
-  HETERO_CHECK(k == rhs_slots_.size());
+  HETERO_CHECK(k == rhs_recv_lid_.size());
+  values_ = nullptr;
+}
 
-  mat_pending_.clear();
-  rhs_pending_.clear();
+std::size_t DistSystemBuilder::plan_bytes() const {
+  return capacity_bytes(mat_dest_) + capacity_bytes(mat_routed_col_) +
+         capacity_bytes(mat_routed_row_) + capacity_bytes(mat_recv_slot_) +
+         capacity_bytes(row_of_slot_) + capacity_bytes(mat_send_off_) +
+         capacity_bytes(rhs_dest_) + capacity_bytes(rhs_routed_row_) +
+         capacity_bytes(rhs_recv_lid_) + capacity_bytes(rhs_send_off_);
+}
+
+std::size_t DistSystemBuilder::send_buffer_bytes() const {
+  return capacity_bytes(mat_send_) + capacity_bytes(rhs_send_);
 }
 
 const IndexMap& DistSystemBuilder::map() const {

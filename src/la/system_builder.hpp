@@ -15,16 +15,46 @@
 /// rounds replay it shipping *values only* — the same optimization real FEM
 /// codes use.
 ///
-/// Under la::KernelMode::kFast frozen rounds go further: begin_assembly()
-/// zeroes the CSR values and rhs up front and every add_* call scatters its
-/// value straight to its precomputed destination (CSR slot for locally kept
-/// entries, routing buffer otherwise) while checking the frozen sequence,
-/// so a refill performs no triplet buffering and no second pass. The
-/// accumulation order per slot is unchanged from the reference replay
-/// (kept contributions in add order first, then per-source-rank blocks), so
-/// refilled values are bit-identical. Sequence violations throw at the
-/// offending add_* call instead of at finalize().
+/// The freeze makes a few linear sweeps over the first round's entries,
+/// with no copy of the whole round and no global sort: gids map to dense
+/// codes through a small cache in front of one hash, every owned row's
+/// columns are bucketed, and each short row is sorted and deduplicated on
+/// its own. The first round's values are then summed in the replay order
+/// below, so the first round and any identical refill are bit-identical.
+///
+/// Frozen plan, per assembled entry one int32 `dest`:
+///   * dest >= 0 — the CSR slot of an entry whose row this rank owns;
+///   * dest <  0 — the entry's row is another rank's: ~dest is its position
+///     in the flat send buffer (the per-rank blocks back to back) and
+///     indexes a compact table of routed entries (row local id, column gid).
+/// Plus one int32 slot per entry received from another rank, one int32 row
+/// per CSR slot (`row_of_slot`), and the same layout for the rhs. That is
+/// 4 B per entry, plus 12 B per routed entry and 4 B per received entry
+/// and per stored nonzero (`plan_bytes()`): 6–8 B per entry on RD P2,
+/// against 56 B for a stored sequence plus per-entry slot, rank and offset
+/// arrays. The routed values themselves live in a flat send buffer kept
+/// between rounds, 8 B more per routed entry (`send_buffer_bytes()`). The
+/// first round's 24 B triplet buffer is released once frozen.
+///
+/// Structure check. A refill entry (r, c) at sequence position i passes
+/// only if gid(row_of_slot[dest_i]) == r and gid(col_idx[dest_i]) == c
+/// (routed entries: against their table row). A CSR slot stands for exactly
+/// one (row, col) pair and dest_i was derived from the first round's i-th
+/// pair, so this is exactly as strict as comparing against a stored copy
+/// of the first-round sequence.
+///
+/// Both kernel modes use the one plan. Under la::KernelMode::kFast,
+/// begin_assembly() zeroes the CSR values and rhs up front and every add_*
+/// call checks its entry and scatters the value straight to its
+/// destination (CSR slot, or the routed send buffer), so a refill does no
+/// buffering and no second pass; violations throw at the offending add_*
+/// call. The reference replay buffers the round's entries as the first
+/// round does, then checks and scatters them at finalize(), where its
+/// violations throw. Either way each slot accumulates kept contributions
+/// in add order, then the per-source-rank blocks, so the modes are
+/// bit-identical.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -72,6 +102,16 @@ class DistSystemBuilder {
 
   bool structure_frozen() const { return frozen_; }
 
+  /// Bytes held by the frozen replay plan (capacity of every retained plan
+  /// array; 0 before the freeze). The CSR pattern itself, the routed send
+  /// buffers and the reference replay's entry buffer are not plan and are
+  /// not counted.
+  std::size_t plan_bytes() const;
+
+  /// Bytes of the routed-value send buffers, which are also kept from one
+  /// refill to the next: 8 B per routed matrix or rhs entry, 0 on one rank.
+  std::size_t send_buffer_bytes() const;
+
   const IndexMap& map() const;
   const HaloExchange& halo() const;
   DistCsrMatrix& matrix();
@@ -89,18 +129,34 @@ class DistSystemBuilder {
     double value = 0.0;
   };
 
-  void first_finalize(simmpi::Comm& comm);
-  void replay_finalize(simmpi::Comm& comm);
-  void fast_replay_finalize(simmpi::Comm& comm);
-  void build_fast_plan();
-  void begin_fast_round();
-  int owner_of_row(GlobalId row) const;
+  void freeze(simmpi::Comm& comm);
+  void refill(simmpi::Comm& comm);
+  /// Claims the next `n` matrix sequence positions; returns the first.
+  std::size_t take_matrix_dests(std::size_t n);
+  void check_matrix_entry(std::int32_t dest, GlobalId row,
+                          GlobalId col) const;
+  void check_rhs_entry(std::int32_t dest, GlobalId row) const;
+  void scatter_matrix(std::int32_t dest, double value) {
+    if (dest >= 0) {
+      values_[dest] += value;
+    } else {
+      mat_send_[static_cast<std::size_t>(~dest)] = value;
+    }
+  }
+  void scatter_rhs(std::int32_t dest, double value) {
+    if (dest >= 0) {
+      (*rhs_)[dest] += value;
+    } else {
+      rhs_send_[static_cast<std::size_t>(~dest)] = value;
+    }
+  }
 
-  std::vector<GlobalId> touched_;
-  std::unordered_map<GlobalId, int> touched_owner_;
+  std::vector<GlobalId> touched_;          // sorted, unique
+  std::vector<int> touched_owner_;         // owner rank per touched_ entry
   std::optional<GidDirectory> directory_;
 
-  // Pending contributions of the current round.
+  // Buffered contributions: the first round (released by the freeze) and
+  // reference-replay rounds.
   std::vector<GlobalTriplet> mat_pending_;
   std::vector<GlobalPair> rhs_pending_;
 
@@ -111,35 +167,28 @@ class DistSystemBuilder {
   std::optional<DistCsrMatrix> matrix_;
   std::optional<DistVector> rhs_;
 
-  // Replay plans (first-round routing, reused verbatim).
-  // For matrix triplets: indices into mat_pending_ destined to each rank.
-  std::vector<std::vector<std::size_t>> mat_route_;
-  std::vector<std::size_t> mat_kept_;          // indices staying local
-  std::vector<std::int64_t> mat_slots_;        // CSR slot per combined triplet
-  std::vector<GlobalTriplet> mat_sequence_;    // first-round sequence (checks)
-  std::vector<std::vector<std::size_t>> rhs_route_;
-  std::vector<std::size_t> rhs_kept_;
-  std::vector<int> rhs_slots_;                 // owned lid per combined pair
-  std::vector<GlobalPair> rhs_sequence_;
+  // Frozen plan (see the file comment).
+  // Routed tables are indexed by flat send position (~dest).
+  std::vector<std::int32_t> mat_dest_;        // per added matrix entry
+  std::vector<GlobalId> mat_routed_col_;      // column gid
+  std::vector<std::int32_t> mat_routed_row_;  // row local id (a ghost)
+  std::vector<std::int32_t> mat_recv_slot_;   // per received entry
+  std::vector<std::int32_t> row_of_slot_;     // owned row per CSR slot
+  std::vector<std::size_t> mat_send_off_;     // per-rank send block offsets
+  std::vector<std::int32_t> rhs_dest_;        // owned lid, or ~send position
+  std::vector<std::int32_t> rhs_routed_row_;
+  std::vector<std::int32_t> rhs_recv_lid_;
+  std::vector<std::size_t> rhs_send_off_;
 
-  // Fast-replay scatter plan (derived from the frozen routing on the first
-  // kFast round). Per sequence index: either the CSR slot (kept entries) or
-  // the (rank, position) in the persistent routing buffers.
-  bool fast_plan_built_ = false;
-  bool fast_round_ = false;          // current round scatters at add time
-  double* fast_values_ = nullptr;    // CSR values of the current fast round
-  std::size_t mat_fast_pos_ = 0;     // sequence cursor of the current round
-  std::size_t rhs_fast_pos_ = 0;
-  std::int64_t mat_kept_count_ = 0;  // prefix of mat_slots_ that is local
-  std::size_t rhs_kept_count_ = 0;
-  std::vector<std::int64_t> mat_fast_slot_;   // CSR slot, or -1 when routed
-  std::vector<std::int32_t> mat_fast_rank_;
-  std::vector<std::int32_t> mat_fast_off_;    // position within rank block
-  std::vector<std::int32_t> rhs_fast_lid_;    // owned lid, or -1 when routed
-  std::vector<std::int32_t> rhs_fast_rank_;
-  std::vector<std::int32_t> rhs_fast_off_;
-  std::vector<std::vector<double>> mat_route_vals_;  // persistent send blocks
-  std::vector<std::vector<double>> rhs_route_vals_;
+  // Refill round state.
+  bool scatter_on_add_ = false;  // kFast round: scatter in add_*
+  std::size_t mat_pos_ = 0;      // sequence cursors
+  std::size_t rhs_pos_ = 0;
+  double* values_ = nullptr;     // CSR values of the current round
+  const int* col_idx_ = nullptr;
+  const GlobalId* gid_of_ = nullptr;      // map gids by local id
+  std::vector<double> mat_send_;          // routed values, flat per rank
+  std::vector<double> rhs_send_;
 };
 
 }  // namespace hetero::la

@@ -260,15 +260,26 @@ class Comm {
     for (std::size_t d = 0; d < blocks.size(); ++d) {
       raw[d] = as_bytes_copy(std::span<const T>(blocks[d]));
     }
-    const auto got = alltoallv_bytes(raw);
-    std::vector<std::vector<T>> out(got.size());
-    for (std::size_t s = 0; s < got.size(); ++s) {
-      out[s].resize(got[s].size() / sizeof(T));
-      if (!out[s].empty()) {
-        std::memcpy(out[s].data(), got[s].data(), got[s].size());
-      }
+    return from_byte_blocks<T>(alltoallv_bytes(raw));
+  }
+
+  /// As above, with the blocks back to back in one buffer: block d is
+  /// flat[offsets[d], offsets[d + 1]), so a caller that ships the same
+  /// layout every round keeps one buffer instead of one vector per rank.
+  template <class T>
+  std::vector<std::vector<T>> alltoallv(
+      const std::vector<T>& flat, const std::vector<std::size_t>& offsets) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    HETERO_REQUIRE(static_cast<int>(offsets.size()) == size() + 1 &&
+                       offsets.back() == flat.size(),
+                   "alltoallv: need one block offset per destination rank "
+                   "plus the end");
+    std::vector<std::vector<std::byte>> raw(offsets.size() - 1);
+    for (std::size_t d = 0; d + 1 < offsets.size(); ++d) {
+      raw[d] = as_bytes_copy(std::span<const T>(
+          flat.data() + offsets[d], offsets[d + 1] - offsets[d]));
     }
-    return out;
+    return from_byte_blocks<T>(alltoallv_bytes(raw));
   }
 
   // ---- byte-level primitives (exposed for tests) ---------------------------
@@ -286,6 +297,19 @@ class Comm {
       const std::vector<std::vector<std::byte>>& blocks);
 
  private:
+  template <class T>
+  static std::vector<std::vector<T>> from_byte_blocks(
+      const std::vector<std::vector<std::byte>>& got) {
+    std::vector<std::vector<T>> out(got.size());
+    for (std::size_t s = 0; s < got.size(); ++s) {
+      out[s].resize(got[s].size() / sizeof(T));
+      if (!out[s].empty()) {
+        std::memcpy(out[s].data(), got[s].data(), got[s].size());
+      }
+    }
+    return out;
+  }
+
   template <class T>
   static std::vector<std::byte> as_bytes_copy(std::span<const T> data) {
     std::vector<std::byte> out(data.size_bytes());

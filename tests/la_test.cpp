@@ -3,15 +3,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <functional>
 #include <map>
+#include <mutex>
+#include <string>
 
+#include "fem/fe_space.hpp"
 #include "la/csr_matrix.hpp"
 #include "la/dist_matrix.hpp"
 #include "la/dist_vector.hpp"
 #include "la/halo.hpp"
 #include "la/index_map.hpp"
+#include "la/kernels.hpp"
 #include "la/system_builder.hpp"
+#include "mesh/box_mesh.hpp"
 #include "netsim/fabric.hpp"
 #include "simmpi/runtime.hpp"
 
@@ -442,6 +451,295 @@ TEST(DistSystemBuilder, ContributionToUndeclaredRowThrows) {
                  builder.finalize(comm);
                }),
                Error);
+}
+
+/// Runs `body` once under each kernel mode, then restores the mode.
+void for_each_kernel_mode(const std::function<void()>& body) {
+  const KernelMode saved = kernel_mode();
+  for (const KernelMode mode : {KernelMode::kReference, KernelMode::kFast}) {
+    SCOPED_TRACE(mode == KernelMode::kFast ? "fast kernels"
+                                           : "reference kernels");
+    set_kernel_mode(mode);
+    body();
+  }
+  set_kernel_mode(saved);
+}
+
+/// Elements [e0, e1) of the 12-element 1-D Laplacian, block-distributed.
+struct ElementRange {
+  int e0 = 0;
+  int e1 = 0;
+};
+
+ElementRange element_range(const simmpi::Comm& comm) {
+  const int n_elems = 12;
+  const int per = (n_elems + comm.size() - 1) / comm.size();
+  const int e0 = comm.rank() * per;
+  return {e0, std::min(n_elems, e0 + per)};
+}
+
+std::vector<GlobalId> touched_of(ElementRange r) {
+  std::vector<GlobalId> touched;
+  for (int e = r.e0; e < r.e1; ++e) {
+    touched.push_back(e);
+    touched.push_back(e + 1);
+  }
+  return touched;
+}
+
+struct MatrixEntry {
+  GlobalId row = 0;
+  GlobalId col = 0;
+  double value = 0.0;
+};
+
+/// Each element adds its stiffness and load in three non-dyadic pieces
+/// scaled by (1 + 0.01 e), so an interior diagonal slot sums six
+/// contributions. These values make the sum at every rank-boundary slot
+/// depend on the summation order at p = 2 and p = 4.
+constexpr double kPieces[] = {0.1, 1.0 / 3.0, 2.0 / 7.0};
+
+/// The matrix entries of one round of the 1-D Laplacian, in add order.
+std::vector<MatrixEntry> laplacian_round(ElementRange r) {
+  std::vector<MatrixEntry> entries;
+  for (int e = r.e0; e < r.e1; ++e) {
+    for (const double piece : kPieces) {
+      const double s = piece * (1.0 + 0.01 * e);
+      entries.push_back({e, e, s});
+      entries.push_back({e, e + 1, -s});
+      entries.push_back({e + 1, e, -s});
+      entries.push_back({e + 1, e + 1, s});
+    }
+  }
+  return entries;
+}
+
+/// Adds `matrix`, then the round's load (0.5·s per piece at both gids).
+void add_round(DistSystemBuilder& builder, ElementRange r,
+               const std::vector<MatrixEntry>& matrix) {
+  for (const MatrixEntry& e : matrix) {
+    builder.add_matrix(e.row, e.col, e.value);
+  }
+  for (int e = r.e0; e < r.e1; ++e) {
+    for (const double piece : kPieces) {
+      const double s = piece * (1.0 + 0.01 * e);
+      builder.add_rhs(e, 0.5 * s);
+      builder.add_rhs(e + 1, 0.5 * s);
+    }
+  }
+}
+
+std::vector<std::uint64_t> bit_patterns(std::span<const double> values) {
+  std::vector<std::uint64_t> bits;
+  bits.reserve(values.size());
+  for (const double v : values) {
+    bits.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+  return bits;
+}
+
+TEST(DistSystemBuilder, FirstRoundEqualsRefillBitForBit) {
+  // The freeze sums the first round in the replay order (kept entries in
+  // add order, then per-source-rank blocks), so refilling the identical
+  // round reproduces every bit of the matrix and the rhs.
+  for (const int ranks : {1, 2, 4}) {
+    SCOPED_TRACE("ranks " + std::to_string(ranks));
+    for_each_kernel_mode([&] {
+      auto rt = make_runtime(ranks);
+      rt.run([&](simmpi::Comm& comm) {
+        const ElementRange r = element_range(comm);
+        DistSystemBuilder builder(comm, touched_of(r));
+        builder.begin_assembly();
+        add_round(builder, r, laplacian_round(r));
+        builder.finalize(comm);
+        const auto first_a = bit_patterns(builder.matrix().local().values());
+        const auto first_b = bit_patterns(builder.rhs().owned());
+
+        builder.begin_assembly();
+        add_round(builder, r, laplacian_round(r));
+        builder.finalize(comm);
+        EXPECT_EQ(bit_patterns(builder.matrix().local().values()), first_a);
+        EXPECT_EQ(bit_patterns(builder.rhs().owned()), first_b);
+      });
+    });
+  }
+}
+
+/// Freezes the 1-D Laplacian at p = 2, then refills it with the round's
+/// matrix entries after `edit` has changed them on rank `rank`, and expects
+/// an Error whose message contains `message`. Rank 0 owns the shared gid 6,
+/// so rank 1's entries in row 6 are routed.
+void expect_refill_error(
+    int rank, const std::function<void(std::vector<MatrixEntry>&)>& edit,
+    const std::string& message) {
+  for_each_kernel_mode([&] {
+    auto rt = make_runtime(2);
+    try {
+      rt.run([&](simmpi::Comm& comm) {
+        const ElementRange r = element_range(comm);
+        DistSystemBuilder builder(comm, touched_of(r));
+        builder.begin_assembly();
+        add_round(builder, r, laplacian_round(r));
+        builder.finalize(comm);
+        std::vector<MatrixEntry> matrix = laplacian_round(r);
+        if (comm.rank() == rank) {
+          edit(matrix);
+        }
+        builder.begin_assembly();
+        add_round(builder, r, matrix);
+        builder.finalize(comm);
+      });
+      ADD_FAILURE() << "refill did not throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  });
+}
+
+const char* const kSequenceChanged =
+    "refill changed the matrix sparsity sequence";
+const char* const kCountChanged =
+    "refill produced a different number of matrix entries";
+
+/// Moves the first entry A(row, from) to column `to`.
+std::function<void(std::vector<MatrixEntry>&)> move_column(GlobalId row,
+                                                           GlobalId from,
+                                                           GlobalId to) {
+  return [=](std::vector<MatrixEntry>& matrix) {
+    const auto it = std::find_if(
+        matrix.begin(), matrix.end(),
+        [&](const MatrixEntry& e) { return e.row == row && e.col == from; });
+    ASSERT_NE(it, matrix.end());
+    it->col = to;
+  };
+}
+
+TEST(DistSystemBuilder, RefillChangingAKeptColumnThrows) {
+  // Rank 0 owns row 1: a locally kept entry.
+  expect_refill_error(0, move_column(1, 2, 3), kSequenceChanged);
+}
+
+TEST(DistSystemBuilder, RefillChangingARoutedColumnThrows) {
+  // Rank 0 owns row 6, so rank 1's entries in it are routed.
+  expect_refill_error(1, move_column(6, 7, 8), kSequenceChanged);
+}
+
+TEST(DistSystemBuilder, RefillWithOneEntryTooManyThrows) {
+  expect_refill_error(
+      1, [](std::vector<MatrixEntry>& m) { m.push_back(m.back()); },
+      kCountChanged);
+}
+
+TEST(DistSystemBuilder, RefillWithOneEntryTooFewThrows) {
+  expect_refill_error(
+      1, [](std::vector<MatrixEntry>& m) { m.pop_back(); }, kCountChanged);
+}
+
+TEST(DistSystemBuilder, DenseBlockWithPermutedGidsThrows) {
+  // The same element matrices handed over with the element's gids in the
+  // opposite order: mathematically the same operator, a different
+  // sequence.
+  for (const bool permute : {false, true}) {
+    SCOPED_TRACE(permute ? "permuted refill" : "identical refill");
+    for_each_kernel_mode([&] {
+      auto rt = make_runtime(2);
+      auto run = [&] {
+        rt.run([&](simmpi::Comm& comm) {
+          const ElementRange r = element_range(comm);
+          DistSystemBuilder builder(comm, touched_of(r));
+          auto round = [&](bool swapped) {
+            builder.begin_assembly();
+            for (int e = r.e0; e < r.e1; ++e) {
+              const double s = 0.1 * (1.0 + 0.01 * e);
+              std::vector<GlobalId> gids{e, e + 1};
+              if (swapped) {
+                std::swap(gids[0], gids[1]);
+              }
+              const std::vector<double> block{s, -s, -s, s};
+              builder.add_dense_block(gids, gids, block);
+            }
+            builder.finalize(comm);
+          };
+          round(false);
+          round(permute);
+        });
+      };
+      if (permute) {
+        try {
+          run();
+          ADD_FAILURE() << "permuted refill did not throw";
+        } catch (const Error& e) {
+          EXPECT_NE(std::string(e.what()).find(kSequenceChanged),
+                    std::string::npos)
+              << e.what();
+        }
+      } else {
+        EXPECT_NO_THROW(run());
+      }
+    });
+  }
+}
+
+struct BytesPerEntry {
+  double plan = 0.0;      // plan_bytes()
+  double retained = 0.0;  // plan_bytes() + send_buffer_bytes()
+};
+
+/// Plan and retained bytes per assembled matrix entry of an RD P2 system
+/// with `cells` cells per rank axis, each the worst rank's ratio.
+BytesPerEntry worst_bytes_per_entry(int ranks, int cells) {
+  BytesPerEntry worst;
+  std::mutex mutex;
+  auto rt = make_runtime(ranks);
+  rt.run([&](simmpi::Comm& comm) {
+    const int per_axis = static_cast<int>(std::lround(std::cbrt(ranks)));
+    const int global = cells * per_axis;
+    mesh::BoxMeshSpec spec{global, global, global};
+    mesh::BlockDecomposition dec(spec, comm.size());
+    const auto sub = mesh::build_box_submesh(spec, dec.box(comm.rank()));
+    fem::FeSpace space(sub, 2, spec.vertex_count());
+    const auto n = static_cast<std::size_t>(space.dofs_per_tet());
+    std::vector<GlobalId> gids(n);
+    const std::vector<double> block(n * n, 1.0);
+    const std::vector<double> load(n, 1.0);
+
+    DistSystemBuilder builder(comm, space.dof_gids());
+    EXPECT_EQ(builder.plan_bytes(), 0u);
+    EXPECT_EQ(builder.send_buffer_bytes(), 0u);
+    builder.begin_assembly();
+    for (std::size_t t = 0; t < sub.tet_count(); ++t) {
+      space.tet_dof_gids(t, gids);
+      builder.add_dense_block(gids, gids, block);
+      builder.add_rhs_block(gids, load);
+    }
+    builder.finalize(comm);
+    const double entries = static_cast<double>(sub.tet_count() * n * n);
+    const double plan = static_cast<double>(builder.plan_bytes()) / entries;
+    const double sends =
+        static_cast<double>(builder.send_buffer_bytes()) / entries;
+    // At least the one int32 destination per entry is counted.
+    EXPECT_GE(plan, 4.0);
+    if (comm.size() == 1) {
+      EXPECT_EQ(builder.send_buffer_bytes(), 0u);
+    }
+    std::lock_guard<std::mutex> lock(mutex);
+    worst.plan = std::max(worst.plan, plan);
+    worst.retained = std::max(worst.retained, plan + sends);
+  });
+  return worst;
+}
+
+TEST(DistSystemBuilder, PlanBytesStayUnderEightPerEntry) {
+  // The frozen plan keeps one int32 per assembled entry plus small
+  // per-slot and routed-entry tables. A stored (row, col, value) sequence
+  // with per-entry slot, rank and offset arrays takes 56 B.
+  for (const int ranks : {1, 8}) {
+    const BytesPerEntry worst = worst_bytes_per_entry(ranks, 6);
+    EXPECT_LE(worst.plan, 8.0) << "ranks " << ranks;
+    std::printf("bytes per entry, p=%d: plan %.2f, with send buffers %.2f\n",
+                ranks, worst.plan, worst.retained);
+  }
 }
 
 }  // namespace

@@ -194,6 +194,34 @@ TEST(Runtime, AlltoallvHandlesEmptyBlocks) {
   });
 }
 
+TEST(Runtime, AlltoallvFromFlatBufferMatchesBlocks) {
+  Runtime rt(test_topology(3));
+  rt.run([&](Comm& comm) {
+    // Block d holds d + rank values; rank 0 sends nothing to rank 0.
+    std::vector<std::vector<double>> blocks(3);
+    std::vector<double> flat;
+    std::vector<std::size_t> offsets{0};
+    for (int d = 0; d < 3; ++d) {
+      for (int i = 0; i < d + comm.rank(); ++i) {
+        blocks[static_cast<std::size_t>(d)].push_back(10.0 * comm.rank() + d +
+                                                      0.1 * i);
+      }
+      flat.insert(flat.end(), blocks[static_cast<std::size_t>(d)].begin(),
+                  blocks[static_cast<std::size_t>(d)].end());
+      offsets.push_back(flat.size());
+    }
+    const double t0 = comm.now();
+    const auto from_blocks = comm.alltoallv(blocks);
+    const double t1 = comm.now();
+    const auto from_flat = comm.alltoallv(flat, offsets);
+    // Same payload, same modeled cost.
+    EXPECT_EQ(from_flat, from_blocks);
+    EXPECT_DOUBLE_EQ(comm.now() - t1, t1 - t0);
+    offsets.pop_back();
+    EXPECT_THROW(comm.alltoallv(flat, offsets), Error);
+  });
+}
+
 TEST(Runtime, IrecvMatchesLikeBlockingRecv) {
   Runtime rt(test_topology(2));
   rt.run([&](Comm& comm) {

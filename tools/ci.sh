@@ -4,6 +4,8 @@
 # Usage: tools/ci.sh [job ...]
 #   release   Release + -Werror build, full ctest, broker smoke
 #   debug     Debug build, full ctest
+#   obsoff    Release + -Werror with the observability layer compiled out
+#             (-DHETERO_OBS=OFF), full ctest
 #   bench     bench-regression: run the four paper-figure benches with
 #             --json and hold them to bench/baselines/ via check_bench.py;
 #             then re-run fig4 with --jobs 8 and require byte-identical
@@ -98,6 +100,14 @@ job_debug() {
   configure_and_build build-ci-debug \
       -DCMAKE_BUILD_TYPE=Debug -DHETERO_WERROR=ON
   ctest --test-dir build-ci-debug --output-on-failure -j "$JOBS" \
+      --timeout 600
+}
+
+job_obsoff() {
+  echo "== ci job: obsoff (observability compiled out, full ctest) =="
+  configure_and_build build-ci-obsoff \
+      -DCMAKE_BUILD_TYPE=Release -DHETERO_WERROR=ON -DHETERO_OBS=OFF
+  ctest --test-dir build-ci-obsoff --output-on-failure -j "$JOBS" \
       --timeout 600
 }
 
@@ -374,6 +384,7 @@ run_job() {
   case "$1" in
     release) job_release ;;
     debug) job_debug ;;
+    obsoff) job_obsoff ;;
     bench) job_bench ;;
     kernels) job_kernels ;;
     asan) job_asan ;;
@@ -384,9 +395,9 @@ run_job() {
     loadbalance) job_loadbalance ;;
     procsoak) job_procsoak ;;
     grid) job_grid ;;
-    all) job_release; job_debug; job_bench; job_kernels; job_asan; job_tsan; job_faultsoak; job_svc; job_rebroker; job_loadbalance; job_procsoak; job_grid ;;
+    all) job_release; job_debug; job_obsoff; job_bench; job_kernels; job_asan; job_tsan; job_faultsoak; job_svc; job_rebroker; job_loadbalance; job_procsoak; job_grid ;;
     *)
-      echo "ci: unknown job '$1' (expected release|debug|bench|kernels|asan|tsan|faultsoak|svc|rebroker|loadbalance|procsoak|grid|all)" >&2
+      echo "ci: unknown job '$1' (expected release|debug|obsoff|bench|kernels|asan|tsan|faultsoak|svc|rebroker|loadbalance|procsoak|grid|all)" >&2
       exit 2
       ;;
   esac
