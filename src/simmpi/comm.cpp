@@ -26,7 +26,10 @@ CommMetrics& comm_metrics() {
   return metrics;
 }
 
-/// Element-wise combine for reductions over a flat byte image of T.
+/// Element-wise combine for reductions over a flat byte image of T. The
+/// accumulator is the output image itself and every element is read in
+/// place, so the last arrival's serial path allocates once per collective.
+/// The accumulation runs in member order, as a sum over ranks must.
 template <class T>
 std::vector<std::byte> combine_reduce(
     const std::vector<std::vector<std::byte>>& inputs, ReduceOp op) {
@@ -35,22 +38,39 @@ std::vector<std::byte> combine_reduce(
     HETERO_REQUIRE(in.size() == bytes,
                    "allreduce: ranks passed differently sized inputs");
   }
-  const std::size_t n = bytes / sizeof(T);
-  std::vector<T> acc(n);
-  std::memcpy(acc.data(), inputs.front().data(), bytes);
-  for (std::size_t r = 1; r < inputs.size(); ++r) {
-    std::vector<T> other(n);
-    std::memcpy(other.data(), inputs[r].data(), bytes);
-    for (std::size_t i = 0; i < n; ++i) {
-      switch (op) {
-        case ReduceOp::kSum: acc[i] += other[i]; break;
-        case ReduceOp::kMin: acc[i] = std::min(acc[i], other[i]); break;
-        case ReduceOp::kMax: acc[i] = std::max(acc[i], other[i]); break;
+  std::vector<std::byte> out(inputs.front());
+  const auto fold = [&](auto f) {
+    for (std::size_t r = 1; r < inputs.size(); ++r) {
+      for (std::size_t off = 0; off < bytes; off += sizeof(T)) {
+        T acc{};
+        T other{};
+        std::memcpy(&acc, out.data() + off, sizeof(T));
+        std::memcpy(&other, inputs[r].data() + off, sizeof(T));
+        acc = f(acc, other);
+        std::memcpy(out.data() + off, &acc, sizeof(T));
       }
     }
+  };
+  switch (op) {
+    case ReduceOp::kSum: fold([](T a, T b) { return a + b; }); break;
+    case ReduceOp::kMin: fold([](T a, T b) { return std::min(a, b); }); break;
+    case ReduceOp::kMax: fold([](T a, T b) { return std::max(a, b); }); break;
   }
-  std::vector<std::byte> out(bytes);
-  std::memcpy(out.data(), acc.data(), bytes);
+  return out;
+}
+
+/// Concatenation of every member's input, in member order.
+std::vector<std::byte> concatenate(
+    const std::vector<std::vector<std::byte>>& inputs) {
+  std::size_t total = 0;
+  for (const auto& in : inputs) {
+    total += in.size();
+  }
+  std::vector<std::byte> out;
+  out.reserve(total);
+  for (const auto& in : inputs) {
+    out.insert(out.end(), in.begin(), in.end());
+  }
   return out;
 }
 
@@ -79,11 +99,9 @@ Comm Comm::split(int color, int key) {
   }
   HETERO_CHECK(group_rank >= 0);
 
-  Comm sub(*runtime_, rank_);
-  sub.group_rank_ = group_rank;
   const int group_size = static_cast<int>(members.size());
-  sub.group_ = runtime_->intern_group(std::move(members));
-  sub.members_ = runtime_->group(sub.group_).members;
+  Comm sub(*runtime_, runtime_->intern_group(std::move(members)), rank_,
+           group_rank);
   // Approximate sub-communicator costs with a uniform topology of the same
   // fabrics (exact placement would need the member->node mapping, which the
   // uniform packing makes a fair approximation of).
@@ -129,12 +147,13 @@ void Comm::send_bytes(std::vector<std::byte> payload, int dest, int tag) {
   metrics.messages.increment();
   metrics.p2p_bytes.add(bytes);
 
-  runtime_->post_send(rank_, world_dest, tag, group_, std::move(payload),
+  runtime_->post_send(rank_, world_dest, tag, group_->id, std::move(payload),
                       now());
 }
 
 std::vector<std::byte> Comm::recv_bytes(int source, int tag) {
-  auto env = runtime_->blocking_recv(rank_, world_of(source), tag, group_);
+  auto env =
+      runtime_->blocking_recv(rank_, world_of(source), tag, group_->id);
   auto& stats = runtime_->stats_[static_cast<std::size_t>(rank_)];
   ++stats.messages_received;
   stats.bytes_received += env.payload.size();
@@ -155,27 +174,32 @@ std::vector<std::byte> Comm::recv_bytes(int source, int tag) {
   return std::move(env.payload);
 }
 
-void Comm::finish_collective(double exit_time, const char* name,
-                             double bytes) {
+std::vector<std::byte> Comm::run_collective(const char* kind,
+                                            std::vector<std::byte> input,
+                                            const Runtime::CombineFn& combine,
+                                            double cost) {
+  const double before = now();
+  double exit_time = 0.0;
+  auto result = runtime_->rendezvous(*group_, member_, kind, std::move(input),
+                                     combine, cost, before, &exit_time);
   auto& stats = runtime_->stats_[static_cast<std::size_t>(rank_)];
   ++stats.collectives;
-  const double before = now();
   clock().advance_to(exit_time);
   const double waited = now() - before;
   stats.comm_seconds += waited;
   if (auto* trace = obs::current_trace()) {
-    trace->complete(rank_, name, "simmpi", before, now(), "bytes", bytes);
+    trace->complete(rank_, kind, "simmpi", before, now(), "bytes",
+                    static_cast<double>(result.size()));
   }
   auto& metrics = comm_metrics();
   metrics.collectives.increment();
   metrics.collective_wait_s.add(waited);
+  return result;
 }
 
 void Comm::barrier() {
   const double cost = netsim::barrier_time(topology());
-  double exit_time = 0.0;
-  run_collective({}, nullptr, cost, &exit_time);
-  finish_collective(exit_time, "barrier");
+  run_collective("barrier", {}, nullptr, cost);
 }
 
 std::vector<std::byte> Comm::bcast_bytes(std::vector<std::byte> input,
@@ -185,21 +209,18 @@ std::vector<std::byte> Comm::bcast_bytes(std::vector<std::byte> input,
   // non-roots pass 0 and the runtime takes the max over ranks.
   const double cost =
       rank() == root ? netsim::bcast_time(topology(), input.size()) : 0.0;
-  double exit_time = 0.0;
-  auto result = run_collective(
-      std::move(input),
+  return run_collective(
+      "bcast", std::move(input),
       [root](const std::vector<std::vector<std::byte>>& inputs) {
-        return inputs[static_cast<std::size_t>(root)];
+        return std::vector<std::vector<std::byte>>{
+            inputs[static_cast<std::size_t>(root)]};
       },
-      cost, &exit_time);
-  finish_collective(exit_time, "bcast", static_cast<double>(result.size()));
-  return result;
+      cost);
 }
 
 std::vector<double> Comm::allreduce(std::span<const double> data,
                                     ReduceOp op) {
-  const auto raw = reduce_like(std::as_bytes(data), op, /*is_double=*/true,
-                               data.size_bytes());
+  const auto raw = reduce_like(std::as_bytes(data), op, /*is_double=*/true);
   std::vector<double> out(raw.size() / sizeof(double));
   std::memcpy(out.data(), raw.data(), raw.size());
   return out;
@@ -207,8 +228,7 @@ std::vector<double> Comm::allreduce(std::span<const double> data,
 
 std::vector<std::int64_t> Comm::allreduce(std::span<const std::int64_t> data,
                                           ReduceOp op) {
-  const auto raw = reduce_like(std::as_bytes(data), op, /*is_double=*/false,
-                               data.size_bytes());
+  const auto raw = reduce_like(std::as_bytes(data), op, /*is_double=*/false);
   std::vector<std::int64_t> out(raw.size() / sizeof(std::int64_t));
   std::memcpy(out.data(), raw.data(), raw.size());
   return out;
@@ -223,46 +243,29 @@ std::int64_t Comm::allreduce(std::int64_t value, ReduceOp op) {
 }
 
 std::vector<std::byte> Comm::reduce_like(std::span<const std::byte> input,
-                                         ReduceOp op, bool is_double,
-                                         std::uint64_t cost_bytes) {
-  const double cost = netsim::allreduce_time(topology(), cost_bytes);
+                                         ReduceOp op, bool is_double) {
+  const double cost = netsim::allreduce_time(topology(), input.size());
   std::vector<std::byte> in(input.begin(), input.end());
-  double exit_time = 0.0;
-  auto result = run_collective(
-      std::move(in),
+  return run_collective(
+      "allreduce", std::move(in),
       [op, is_double](const std::vector<std::vector<std::byte>>& inputs) {
-        return is_double ? combine_reduce<double>(inputs, op)
-                         : combine_reduce<std::int64_t>(inputs, op);
+        return std::vector<std::vector<std::byte>>{
+            is_double ? combine_reduce<double>(inputs, op)
+                      : combine_reduce<std::int64_t>(inputs, op)};
       },
-      cost, &exit_time);
-  finish_collective(exit_time, "allreduce",
-                    static_cast<double>(cost_bytes));
-  return result;
+      cost);
 }
 
 std::vector<std::byte> Comm::allgatherv_bytes(std::vector<std::byte> input,
                                               std::size_t element_size) {
   const double cost = netsim::allgather_time(
       topology(), std::max<std::uint64_t>(input.size(), element_size));
-  double exit_time = 0.0;
-  auto result = run_collective(
-      std::move(input),
+  return run_collective(
+      "allgatherv", std::move(input),
       [](const std::vector<std::vector<std::byte>>& inputs) {
-        std::size_t total = 0;
-        for (const auto& in : inputs) {
-          total += in.size();
-        }
-        std::vector<std::byte> out;
-        out.reserve(total);
-        for (const auto& in : inputs) {
-          out.insert(out.end(), in.begin(), in.end());
-        }
-        return out;
+        return std::vector<std::vector<std::byte>>{concatenate(inputs)};
       },
-      cost, &exit_time);
-  finish_collective(exit_time, "allgatherv",
-                    static_cast<double>(result.size()));
-  return result;
+      cost);
 }
 
 std::vector<std::byte> Comm::gatherv_bytes(std::vector<std::byte> input,
@@ -271,26 +274,14 @@ std::vector<std::byte> Comm::gatherv_bytes(std::vector<std::byte> input,
   HETERO_REQUIRE(root >= 0 && root < size(), "gatherv: root out of range");
   const double cost = netsim::gather_time(
       topology(), std::max<std::uint64_t>(input.size(), element_size));
-  double exit_time = 0.0;
-  auto result = run_collective_personalized(
-      std::move(input),
+  return run_collective(
+      "gatherv", std::move(input),
       [root, p = size()](const std::vector<std::vector<std::byte>>& inputs) {
         std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(p));
-        std::size_t total = 0;
-        for (const auto& in : inputs) {
-          total += in.size();
-        }
-        auto& slot = out[static_cast<std::size_t>(root)];
-        slot.reserve(total);
-        for (const auto& in : inputs) {
-          slot.insert(slot.end(), in.begin(), in.end());
-        }
+        out[static_cast<std::size_t>(root)] = concatenate(inputs);
         return out;
       },
-      cost, &exit_time);
-  finish_collective(exit_time, "gatherv",
-                    static_cast<double>(result.size()));
-  return result;
+      cost);
 }
 
 std::vector<std::byte> Comm::scatterv_bytes(
@@ -299,106 +290,68 @@ std::vector<std::byte> Comm::scatterv_bytes(
   // Flatten the root's blocks with framing; everyone else sends nothing.
   std::vector<std::byte> flat;
   std::uint64_t max_block = 1;
-  if (rank_ == root) {
+  if (rank() == root) {
     for (const auto& b : blocks) {
-      std::uint64_t len = b.size();
-      const auto* lp = reinterpret_cast<const std::byte*>(&len);
-      flat.insert(flat.end(), lp, lp + sizeof(len));
-      flat.insert(flat.end(), b.begin(), b.end());
-      max_block = std::max(max_block, len);
+      append_frame(flat, b.data(), b.size());
+      max_block = std::max<std::uint64_t>(max_block, b.size());
     }
   }
   // Scatter cost mirrors the gather pattern (root serializes the sends).
   const double cost =
       rank() == root ? netsim::gather_time(topology(), max_block) : 0.0;
   const int p = size();
-  double exit_time = 0.0;
-  auto mine = run_collective_personalized(
-      std::move(flat),
+  return run_collective(
+      "scatterv", std::move(flat),
       [root, p](const std::vector<std::vector<std::byte>>& inputs) {
-        const auto& in = inputs[static_cast<std::size_t>(root)];
-        std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(p));
-        std::size_t off = 0;
-        for (int dest = 0; dest < p; ++dest) {
-          std::uint64_t len = 0;
-          HETERO_CHECK(off + sizeof(len) <= in.size());
-          std::memcpy(&len, in.data() + off, sizeof(len));
-          off += sizeof(len);
-          HETERO_CHECK(off + len <= in.size());
-          out[static_cast<std::size_t>(dest)].assign(in.data() + off,
-                                                     in.data() + off + len);
-          off += len;
-        }
-        return out;
+        return deframe<std::byte>(inputs[static_cast<std::size_t>(root)], p);
       },
-      cost, &exit_time);
-  finish_collective(exit_time, "scatterv",
-                    static_cast<double>(mine.size()));
-  return mine;
+      cost);
 }
 
-std::vector<std::vector<std::byte>> Comm::alltoallv_bytes(
-    const std::vector<std::vector<std::byte>>& blocks) {
-  // Serialize: [u64 count per destination] then concatenated payloads. The
-  // combine reshuffles so each rank extracts the blocks addressed to it.
+void Comm::append_frame(std::vector<std::byte>& framed, const void* data,
+                        std::size_t bytes) {
+  const std::uint64_t len = bytes;
+  const auto* lp = reinterpret_cast<const std::byte*>(&len);
+  framed.insert(framed.end(), lp, lp + sizeof(len));
+  const auto* dp = static_cast<const std::byte*>(data);
+  framed.insert(framed.end(), dp, dp + bytes);
+}
+
+std::uint64_t Comm::read_frame(const std::vector<std::byte>& framed,
+                               std::size_t& off) {
+  std::uint64_t len = 0;
+  HETERO_CHECK(off + sizeof(len) <= framed.size());
+  std::memcpy(&len, framed.data() + off, sizeof(len));
+  off += sizeof(len);
+  HETERO_CHECK(off + len <= framed.size());
+  return len;
+}
+
+std::vector<std::byte> Comm::alltoallv_framed(std::vector<std::byte> framed) {
+  // The combine reshuffles so each rank receives, in source order, the
+  // frames addressed to it, with the same framing.
   const int p = size();
-  std::vector<std::byte> flat;
-  std::uint64_t header[1];
-  std::uint64_t avg_bytes = 0;
-  for (const auto& b : blocks) {
-    avg_bytes += b.size();
-  }
-  avg_bytes = std::max<std::uint64_t>(
-      1, avg_bytes / static_cast<std::uint64_t>(p));
-  for (const auto& b : blocks) {
-    header[0] = b.size();
-    const auto* hp = reinterpret_cast<const std::byte*>(header);
-    flat.insert(flat.end(), hp, hp + sizeof(header));
-    flat.insert(flat.end(), b.begin(), b.end());
-  }
+  const std::uint64_t header_bytes =
+      static_cast<std::uint64_t>(p) * sizeof(std::uint64_t);
+  HETERO_CHECK(framed.size() >= header_bytes);
+  const std::uint64_t avg_bytes = std::max<std::uint64_t>(
+      1, (framed.size() - header_bytes) / static_cast<std::uint64_t>(p));
   const double cost = netsim::alltoall_time(topology(), avg_bytes);
-  double exit_time = 0.0;
-  auto mine = run_collective_personalized(
-      std::move(flat),
+  return run_collective(
+      "alltoallv", std::move(framed),
       [p](const std::vector<std::vector<std::byte>>& inputs) {
-        // For every destination, extract from every source the block
-        // addressed to it, concatenated with the same framing.
         std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(p));
-        for (int src = 0; src < p; ++src) {
-          const auto& in = inputs[static_cast<std::size_t>(src)];
+        for (const auto& in : inputs) {
           std::size_t off = 0;
-          for (int dest = 0; dest < p; ++dest) {
-            std::uint64_t len = 0;
-            HETERO_CHECK(off + sizeof(len) <= in.size());
-            std::memcpy(&len, in.data() + off, sizeof(len));
-            off += sizeof(len);
-            HETERO_CHECK(off + len <= in.size());
-            auto& slot = out[static_cast<std::size_t>(dest)];
-            const auto* fp = reinterpret_cast<const std::byte*>(&len);
-            slot.insert(slot.end(), fp, fp + sizeof(len));
-            slot.insert(slot.end(), in.data() + off, in.data() + off + len);
+          for (auto& slot : out) {
+            const std::uint64_t len = read_frame(in, off);
+            append_frame(slot, in.data() + off, len);
             off += len;
           }
         }
         return out;
       },
-      cost, &exit_time);
-  finish_collective(exit_time, "alltoallv",
-                    static_cast<double>(mine.size()));
-
-  // Deframe into per-source blocks.
-  std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(p));
-  std::size_t off = 0;
-  for (int src = 0; src < p; ++src) {
-    std::uint64_t len = 0;
-    HETERO_CHECK(off + sizeof(len) <= mine.size());
-    std::memcpy(&len, mine.data() + off, sizeof(len));
-    off += sizeof(len);
-    out[static_cast<std::size_t>(src)].assign(mine.data() + off,
-                                              mine.data() + off + len);
-    off += len;
-  }
-  return out;
+      cost);
 }
 
 }  // namespace hetero::simmpi

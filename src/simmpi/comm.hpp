@@ -54,19 +54,15 @@ class RecvRequest {
 
 class Comm {
  public:
-  Comm(Runtime& runtime, int rank) : runtime_(&runtime), rank_(rank) {}
-
   /// Rank within this communicator (group-relative for split comms).
-  int rank() const { return group_ == 0 ? rank_ : group_rank_; }
-  int size() const {
-    return group_ == 0 ? runtime_->size() : static_cast<int>(members_.size());
-  }
+  int rank() const { return member_; }
+  int size() const { return static_cast<int>(group_->members.size()); }
   /// World rank of this process (identical to rank() on the world comm).
   int world_rank() const { return rank_; }
-  bool is_world() const { return group_ == 0; }
+  bool is_world() const { return group_->id == 0; }
 
   const netsim::Topology& topology() const {
-    return group_ == 0 ? runtime_->topology() : *group_topo_;
+    return group_topo_ ? *group_topo_ : runtime_->topology();
   }
 
   /// MPI_Comm_split: collective over this communicator. Processes with the
@@ -173,7 +169,7 @@ class Comm {
   void bcast(std::vector<T>& data, int root) {
     static_assert(std::is_trivially_copyable_v<T>);
     std::vector<std::byte> in;
-    if (rank_ == root) {
+    if (rank() == root) {
       in = as_bytes_copy(std::span<const T>(data));
     }
     const auto out = bcast_bytes(std::move(in), root);
@@ -233,7 +229,7 @@ class Comm {
     static_assert(std::is_trivially_copyable_v<T>);
     std::vector<std::vector<std::byte>> raw(
         static_cast<std::size_t>(size()));
-    if (rank_ == root) {
+    if (rank() == root) {
       HETERO_REQUIRE(static_cast<int>(blocks.size()) == size(),
                      "scatterv: root needs one block per rank");
       for (std::size_t d = 0; d < blocks.size(); ++d) {
@@ -256,11 +252,11 @@ class Comm {
     static_assert(std::is_trivially_copyable_v<T>);
     HETERO_REQUIRE(static_cast<int>(blocks.size()) == size(),
                    "alltoallv: need one block per destination rank");
-    std::vector<std::vector<std::byte>> raw(blocks.size());
-    for (std::size_t d = 0; d < blocks.size(); ++d) {
-      raw[d] = as_bytes_copy(std::span<const T>(blocks[d]));
+    std::vector<std::byte> framed;
+    for (const auto& b : blocks) {
+      append_frame(framed, b.data(), b.size() * sizeof(T));
     }
-    return from_byte_blocks<T>(alltoallv_bytes(raw));
+    return deframe<T>(alltoallv_framed(std::move(framed)), size());
   }
 
   /// As above, with the blocks back to back in one buffer: block d is
@@ -274,12 +270,14 @@ class Comm {
                        offsets.back() == flat.size(),
                    "alltoallv: need one block offset per destination rank "
                    "plus the end");
-    std::vector<std::vector<std::byte>> raw(offsets.size() - 1);
+    std::vector<std::byte> framed;
+    framed.reserve(flat.size() * sizeof(T) +
+                   (offsets.size() - 1) * sizeof(std::uint64_t));
     for (std::size_t d = 0; d + 1 < offsets.size(); ++d) {
-      raw[d] = as_bytes_copy(std::span<const T>(
-          flat.data() + offsets[d], offsets[d + 1] - offsets[d]));
+      append_frame(framed, flat.data() + offsets[d],
+                   (offsets[d + 1] - offsets[d]) * sizeof(T));
     }
-    return from_byte_blocks<T>(alltoallv_bytes(raw));
+    return deframe<T>(alltoallv_framed(std::move(framed)), size());
   }
 
   // ---- byte-level primitives (exposed for tests) ---------------------------
@@ -293,22 +291,39 @@ class Comm {
                                        std::size_t element_size);
   std::vector<std::byte> scatterv_bytes(
       const std::vector<std::vector<std::byte>>& blocks, int root);
-  std::vector<std::vector<std::byte>> alltoallv_bytes(
-      const std::vector<std::vector<std::byte>>& blocks);
 
  private:
+  /// Appends one [u64 length][payload] frame: the wire image in which
+  /// alltoallv and scatterv ship one block per destination.
+  static void append_frame(std::vector<std::byte>& framed, const void* data,
+                           std::size_t bytes);
+
+  /// Reads the frame header at `off` and moves `off` past it; the payload
+  /// is [off, off + returned length).
+  static std::uint64_t read_frame(const std::vector<std::byte>& framed,
+                                  std::size_t& off);
+
+  /// Splits `p` frames back into typed blocks.
   template <class T>
-  static std::vector<std::vector<T>> from_byte_blocks(
-      const std::vector<std::vector<std::byte>>& got) {
-    std::vector<std::vector<T>> out(got.size());
-    for (std::size_t s = 0; s < got.size(); ++s) {
-      out[s].resize(got[s].size() / sizeof(T));
-      if (!out[s].empty()) {
-        std::memcpy(out[s].data(), got[s].data(), got[s].size());
+  static std::vector<std::vector<T>> deframe(
+      const std::vector<std::byte>& framed, int p) {
+    std::vector<std::vector<T>> out(static_cast<std::size_t>(p));
+    std::size_t off = 0;
+    for (auto& block : out) {
+      const std::uint64_t len = read_frame(framed, off);
+      HETERO_CHECK(len % sizeof(T) == 0);
+      block.resize(len / sizeof(T));
+      if (len != 0) {
+        std::memcpy(block.data(), framed.data() + off, len);
       }
+      off += len;
     }
     return out;
   }
+
+  /// alltoallv over an already framed image (one frame per destination);
+  /// returns the received frames, one per source.
+  std::vector<std::byte> alltoallv_framed(std::vector<std::byte> framed);
 
   template <class T>
   static std::vector<std::byte> as_bytes_copy(std::span<const T> data) {
@@ -320,50 +335,35 @@ class Comm {
   }
 
   std::vector<std::byte> reduce_like(std::span<const std::byte> input,
-                                     ReduceOp op, bool is_double,
-                                     std::uint64_t cost_bytes);
+                                     ReduceOp op, bool is_double);
 
-  /// Advances the clock to the collective exit time, updates stats, and
-  /// emits a `name` trace span covering this rank's wait (if tracing).
-  void finish_collective(double exit_time, const char* name,
-                         double bytes = 0.0);
+  /// This communicator's synchronizing collective `kind`, entered at now():
+  /// meets the other members in the group's rendezvous, advances the clock
+  /// to the exit time, updates stats, and emits a `kind` trace span covering
+  /// this rank's wait (if tracing). Returns this member's result.
+  std::vector<std::byte> run_collective(const char* kind,
+                                        std::vector<std::byte> input,
+                                        const Runtime::CombineFn& combine,
+                                        double cost);
 
   /// World rank of communicator-relative rank `r`.
   int world_of(int r) const {
     HETERO_REQUIRE(r >= 0 && r < size(), "rank out of communicator range");
-    return group_ == 0 ? r : members_[static_cast<std::size_t>(r)];
+    return group_->members[static_cast<std::size_t>(r)];
   }
 
-  /// Group-aware shared collective.
-  std::vector<std::byte> run_collective(std::vector<std::byte> input,
-                                        const Runtime::CombineFn& combine,
-                                        double cost, double* exit_time) {
-    if (group_ == 0) {
-      return runtime_->collective(rank_, std::move(input), combine, cost,
-                                  now(), exit_time);
-    }
-    return runtime_->group_collective(group_, group_rank_, std::move(input),
-                                      combine, cost, now(), exit_time);
-  }
-  std::vector<std::byte> run_collective_personalized(
-      std::vector<std::byte> input, const Runtime::CombinePerRankFn& combine,
-      double cost, double* exit_time) {
-    if (group_ == 0) {
-      return runtime_->collective_personalized(rank_, std::move(input),
-                                               combine, cost, now(),
-                                               exit_time);
-    }
-    return runtime_->group_collective_personalized(
-        group_, group_rank_, std::move(input), combine, cost, now(),
-        exit_time);
-  }
+  friend class Runtime;
+  Comm(Runtime& runtime, Runtime::Group& group, int world_rank, int member)
+      : runtime_(&runtime),
+        group_(&group),
+        rank_(world_rank),
+        member_(member) {}
 
   Runtime* runtime_;
-  int rank_;  // world rank
-  // Sub-communicator state (empty/defaulted on the world communicator).
-  std::uint64_t group_ = 0;
-  int group_rank_ = 0;
-  std::vector<int> members_;
+  Runtime::Group* group_;
+  int rank_;    // world rank
+  int member_;  // rank within group_
+  /// Sub-communicator cost model (null on the world communicator).
   std::shared_ptr<netsim::Topology> group_topo_;
 };
 

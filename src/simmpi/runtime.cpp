@@ -1,6 +1,9 @@
 #include "simmpi/runtime.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <exception>
+#include <numeric>
 #include <thread>
 
 #include "obs/trace.hpp"
@@ -12,8 +15,7 @@ Runtime::Runtime(netsim::Topology topology)
     : topology_(std::move(topology)),
       mailboxes_(static_cast<std::size_t>(topology_.ranks())),
       clocks_(static_cast<std::size_t>(topology_.ranks())),
-      stats_(static_cast<std::size_t>(topology_.ranks())),
-      coll_inputs_(static_cast<std::size_t>(topology_.ranks())) {}
+      stats_(static_cast<std::size_t>(topology_.ranks())) {}
 
 Runtime::~Runtime() = default;
 
@@ -27,9 +29,13 @@ void Runtime::run(const std::function<void(Comm&)>& rank_main) {
     mailboxes_[static_cast<std::size_t>(r)].queue.clear();
   }
   aborted_.store(false);
-  coll_arrived_ = 0;
-  coll_generation_ = 0;
   groups_.clear();
+  std::vector<int> world(static_cast<std::size_t>(p));
+  std::iota(world.begin(), world.end(), 0);
+  Group& world_group = *groups_
+                            .emplace(0, std::make_unique<Group>(
+                                            0, std::move(world)))
+                            .first->second;
 
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(p));
@@ -40,7 +46,7 @@ void Runtime::run(const std::function<void(Comm&)>& rank_main) {
     threads.emplace_back([&, r] {
       // Each rank thread records trace events on its own row.
       obs::bind_trace_rank(r);
-      Comm comm(*this, r);
+      Comm comm(*this, world_group, r, r);
       try {
         rank_main(comm);
       } catch (...) {
@@ -79,12 +85,17 @@ void Runtime::post_send(int source, int dest, int tag, std::uint64_t group,
                         std::vector<std::byte> payload, double depart_time) {
   HETERO_REQUIRE(dest >= 0 && dest < size(), "send: destination out of range");
   auto& box = mailboxes_[static_cast<std::size_t>(dest)];
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(box.mutex);
     box.queue.push_back(
         Envelope{source, tag, group, std::move(payload), depart_time});
+    wake = box.waiting && box.want_source == source &&
+           box.want_tag == tag && box.want_group == group;
   }
-  box.cv.notify_all();
+  if (wake) {
+    box.cv.notify_one();  // only the owner ever waits on its mailbox
+  }
 }
 
 Runtime::Envelope Runtime::blocking_recv(int self, int source, int tag,
@@ -93,7 +104,11 @@ Runtime::Envelope Runtime::blocking_recv(int self, int source, int tag,
   auto& box = mailboxes_[static_cast<std::size_t>(self)];
   const auto start = std::chrono::steady_clock::now();
   std::unique_lock<std::mutex> lock(box.mutex);
+  box.want_source = source;
+  box.want_tag = tag;
+  box.want_group = group;
   for (;;) {
+    box.waiting = false;
     check_abort();
     for (auto it = box.queue.begin(); it != box.queue.end(); ++it) {
       if (it->source == source && it->tag == tag && it->group == group) {
@@ -119,11 +134,20 @@ Runtime::Envelope Runtime::blocking_recv(int self, int source, int tag,
                     ") — deadlock or mismatched send/recv pattern");
       }
     }
+    box.waiting = true;
     box.cv.wait_for(lock, std::chrono::milliseconds(50));
   }
 }
 
-std::uint64_t Runtime::intern_group(std::vector<int> members) {
+Runtime::Group::Group(std::uint64_t group_id, std::vector<int> world_ranks)
+    : id(group_id),
+      members(std::move(world_ranks)),
+      inputs(members.size()),
+      entry(members.size()),
+      cost(members.size()),
+      kind(members.size()) {}
+
+Runtime::Group& Runtime::intern_group(std::vector<int> members) {
   HETERO_REQUIRE(!members.empty(), "a group needs at least one member");
   // FNV over the member list; nudge on (astronomically unlikely) collision.
   std::uint64_t id = 1469598103934665603ULL;
@@ -134,179 +158,77 @@ std::uint64_t Runtime::intern_group(std::vector<int> members) {
   if (id == 0) {
     id = 1;  // 0 is the world communicator
   }
-  std::lock_guard<std::mutex> lock(coll_mutex_);
+  std::lock_guard<std::mutex> lock(groups_mutex_);
   for (;;) {
     auto it = groups_.find(id);
     if (it == groups_.end()) {
-      GroupState state;
-      state.members = std::move(members);
-      state.inputs.resize(state.members.size());
-      groups_.emplace(id, std::move(state));
-      return id;
+      auto g = std::make_unique<Group>(id, std::move(members));
+      if (aborted_.load()) {
+        g->word.store(1);  // born into a dying job: never wait on it
+      }
+      return *groups_.emplace(id, std::move(g)).first->second;
     }
-    if (it->second.members == members) {
-      return id;  // same membership: safe to share (generation-counted)
+    if (it->second->members == members) {
+      return *it->second;  // same membership: safe to share
     }
     ++id;
   }
 }
 
-const Runtime::GroupState& Runtime::group(std::uint64_t id) {
-  std::lock_guard<std::mutex> lock(coll_mutex_);
-  const auto it = groups_.find(id);
-  HETERO_REQUIRE(it != groups_.end(), "unknown communicator group");
-  return it->second;
-}
-
-std::vector<std::byte> Runtime::group_collective(
-    std::uint64_t group_id, int member_index, std::vector<std::byte> input,
-    const CombineFn& combine, double cost_seconds, double entry_time,
-    double* exit_time) {
-  std::unique_lock<std::mutex> lock(coll_mutex_);
-  check_abort();
-  auto it = groups_.find(group_id);
-  HETERO_REQUIRE(it != groups_.end(), "unknown communicator group");
-  GroupState& g = it->second;
-  const std::uint64_t my_generation = g.generation;
-  g.inputs[static_cast<std::size_t>(member_index)] = std::move(input);
-  g.max_entry = (g.arrived == 0) ? entry_time
-                                 : std::max(g.max_entry, entry_time);
-  g.cost = (g.arrived == 0) ? cost_seconds : std::max(g.cost, cost_seconds);
-  ++g.arrived;
-  if (g.arrived == static_cast<int>(g.members.size())) {
-    g.personalized = false;
-    g.result = combine ? combine(g.inputs) : std::vector<std::byte>{};
-    g.exit = g.max_entry + g.cost * degradation_.factor_at(g.max_entry);
-    g.arrived = 0;
-    ++g.generation;
-    for (auto& in : g.inputs) {
-      in.clear();
-    }
-    coll_cv_.notify_all();
-  } else {
-    coll_cv_.wait(lock, [&] {
-      return g.generation != my_generation || aborted_.load();
-    });
-    check_abort();
-  }
-  *exit_time = g.exit;
-  return g.result;
-}
-
-std::vector<std::byte> Runtime::group_collective_personalized(
-    std::uint64_t group_id, int member_index, std::vector<std::byte> input,
-    const CombinePerRankFn& combine, double cost_seconds, double entry_time,
-    double* exit_time) {
-  std::unique_lock<std::mutex> lock(coll_mutex_);
-  check_abort();
-  auto it = groups_.find(group_id);
-  HETERO_REQUIRE(it != groups_.end(), "unknown communicator group");
-  GroupState& g = it->second;
-  const std::uint64_t my_generation = g.generation;
-  g.inputs[static_cast<std::size_t>(member_index)] = std::move(input);
-  g.max_entry = (g.arrived == 0) ? entry_time
-                                 : std::max(g.max_entry, entry_time);
-  g.cost = (g.arrived == 0) ? cost_seconds : std::max(g.cost, cost_seconds);
-  ++g.arrived;
-  if (g.arrived == static_cast<int>(g.members.size())) {
-    g.personalized = true;
-    g.results_per_rank = combine(g.inputs);
-    HETERO_CHECK(g.results_per_rank.size() == g.members.size());
-    g.exit = g.max_entry + g.cost * degradation_.factor_at(g.max_entry);
-    g.arrived = 0;
-    ++g.generation;
-    for (auto& in : g.inputs) {
-      in.clear();
-    }
-    coll_cv_.notify_all();
-  } else {
-    coll_cv_.wait(lock, [&] {
-      return g.generation != my_generation || aborted_.load();
-    });
-    check_abort();
-  }
-  HETERO_CHECK(g.personalized);
-  *exit_time = g.exit;
-  return g.results_per_rank[static_cast<std::size_t>(member_index)];
-}
-
-namespace {
-/// Runs the shared rendezvous: returns true on the rank that arrived last
-/// (which must fill the result slots before others read them).
-}  // namespace
-
-std::vector<std::byte> Runtime::collective(int rank,
+std::vector<std::byte> Runtime::rendezvous(Group& g, int member,
+                                           const char* kind,
                                            std::vector<std::byte> input,
                                            const CombineFn& combine,
                                            double cost_seconds,
                                            double entry_time,
                                            double* exit_time) {
-  std::unique_lock<std::mutex> lock(coll_mutex_);
   check_abort();
-  const std::uint64_t my_generation = coll_generation_;
-  coll_inputs_[static_cast<std::size_t>(rank)] = std::move(input);
-  coll_max_entry_ = (coll_arrived_ == 0)
-                        ? entry_time
-                        : std::max(coll_max_entry_, entry_time);
-  coll_cost_ = (coll_arrived_ == 0) ? cost_seconds
-                                    : std::max(coll_cost_, cost_seconds);
-  ++coll_arrived_;
-  if (coll_arrived_ == size()) {
-    // Last arrival performs the combine and releases everyone.
-    coll_personalized_ = false;
-    coll_result_ = combine ? combine(coll_inputs_) : std::vector<std::byte>{};
-    coll_exit_ =
-        coll_max_entry_ + coll_cost_ * degradation_.factor_at(coll_max_entry_);
-    coll_arrived_ = 0;
-    ++coll_generation_;
-    for (auto& in : coll_inputs_) {
-      in.clear();
-    }
-    coll_cv_.notify_all();
-  } else {
-    coll_cv_.wait(lock, [&] {
-      return coll_generation_ != my_generation || aborted_.load();
-    });
-    check_abort();
+  const std::uint32_t word = g.word.load(std::memory_order_acquire);
+  if (word & 1U) {
+    throw Aborted();
   }
-  *exit_time = coll_exit_;
-  return coll_result_;
-}
-
-std::vector<std::byte> Runtime::collective_personalized(
-    int rank, std::vector<std::byte> input, const CombinePerRankFn& combine,
-    double cost_seconds, double entry_time, double* exit_time) {
-  std::unique_lock<std::mutex> lock(coll_mutex_);
-  check_abort();
-  const std::uint64_t my_generation = coll_generation_;
-  coll_inputs_[static_cast<std::size_t>(rank)] = std::move(input);
-  coll_max_entry_ = (coll_arrived_ == 0)
-                        ? entry_time
-                        : std::max(coll_max_entry_, entry_time);
-  coll_cost_ = (coll_arrived_ == 0) ? cost_seconds
-                                    : std::max(coll_cost_, cost_seconds);
-  ++coll_arrived_;
-  if (coll_arrived_ == size()) {
-    coll_personalized_ = true;
-    coll_results_per_rank_ = combine(coll_inputs_);
-    HETERO_CHECK(static_cast<int>(coll_results_per_rank_.size()) == size());
-    coll_exit_ =
-        coll_max_entry_ + coll_cost_ * degradation_.factor_at(coll_max_entry_);
-    coll_arrived_ = 0;
-    ++coll_generation_;
-    for (auto& in : coll_inputs_) {
-      in.clear();
+  const auto m = static_cast<std::size_t>(member);
+  const std::size_t n = g.members.size();
+  g.inputs[m] = std::move(input);
+  g.entry[m] = entry_time;
+  g.cost[m] = cost_seconds;
+  g.kind[m] = kind;
+  if (g.arrived.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+      static_cast<int>(n)) {
+    // Last arrival: every slot is written. Combine, publish, release.
+    double max_entry = g.entry[0];
+    double max_cost = g.cost[0];
+    for (std::size_t i = 1; i < n; ++i) {
+      if (std::strcmp(g.kind[i], g.kind[0]) != 0) {
+        throw Error("simmpi: mismatched collectives: rank " +
+                    std::to_string(g.members[0]) + " entered " + g.kind[0] +
+                    ", rank " + std::to_string(g.members[i]) + " entered " +
+                    g.kind[i]);
+      }
+      max_entry = std::max(max_entry, g.entry[i]);
+      max_cost = std::max(max_cost, g.cost[i]);
     }
-    coll_cv_.notify_all();
+    g.result = combine ? combine(g.inputs)
+                       : std::vector<std::vector<std::byte>>{};
+    HETERO_CHECK(!combine || g.result.size() == 1 || g.result.size() == n);
+    g.exit = max_entry + max_cost * degradation_.factor_at(max_entry);
+    g.arrived.store(0, std::memory_order_relaxed);
+    g.word.fetch_add(2, std::memory_order_release);
+    g.word.notify_all();
   } else {
-    coll_cv_.wait(lock, [&] {
-      return coll_generation_ != my_generation || aborted_.load();
-    });
-    check_abort();
+    g.word.wait(word, std::memory_order_acquire);
+    if (g.word.load(std::memory_order_acquire) & 1U) {
+      throw Aborted();
+    }
   }
-  HETERO_CHECK(coll_personalized_);
-  *exit_time = coll_exit_;
-  return coll_results_per_rank_[static_cast<std::size_t>(rank)];
+  *exit_time = g.exit;
+  if (g.result.empty()) {
+    return {};
+  }
+  if (g.result.size() == 1 && n > 1) {
+    return g.result.front();  // shared: every member copies
+  }
+  return std::move(g.result[m]);  // personalized: this member's own
 }
 
 void Runtime::abort_all() {
@@ -314,7 +236,11 @@ void Runtime::abort_all() {
   for (auto& box : mailboxes_) {
     box.cv.notify_all();
   }
-  coll_cv_.notify_all();
+  std::lock_guard<std::mutex> lock(groups_mutex_);
+  for (auto& [id, g] : groups_) {
+    g->word.fetch_or(1);
+    g->word.notify_all();
+  }
 }
 
 void Runtime::check_abort() const {

@@ -18,6 +18,23 @@
 ///     (source, tag) pair;
 ///   * collectives are synchronizing: all clocks merge to
 ///     max(entry clocks) + modeled collective cost.
+///
+/// Host-side synchronization:
+///   * Every communicator is a process group (the world is group 0, created
+///     by run()) with one lock-free rendezvous. A member writes its input,
+///     entry clock and cost into its own slot and arrives with an atomic
+///     fetch_add; the last arrival runs the combine, takes the max entry and
+///     cost over the slots, and publishes the group's result.
+///   * The last arrival then bumps the group's 32-bit generation word and
+///     wakes the waiters through the futex behind std::atomic::wait and
+///     notify_all. Waiters read their result without a lock. One result
+///     slot serves every generation: a member reads its result of
+///     generation g before it can arrive at g + 1, so g + 1 cannot complete
+///     and overwrite the slot while anyone still reads g. Abort sets the
+///     low bit of every group's word, so blocked waiters see it change.
+///   * Each mailbox records the (source, tag, group) its owner is blocked
+///     on; a send wakes the owner only for a matching envelope. A 50 ms
+///     poll backs the abort check and the deadlocked-recv guard.
 
 #include <atomic>
 #include <condition_variable>
@@ -25,6 +42,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -131,6 +149,12 @@ class Runtime {
     std::mutex mutex;
     std::condition_variable cv;
     std::deque<Envelope> queue;
+    /// What the owner is blocked on in blocking_recv (guarded by `mutex`);
+    /// post_send wakes it only for a matching envelope.
+    bool waiting = false;
+    int want_source = 0;
+    int want_tag = 0;
+    std::uint64_t want_group = 0;
   };
 
   // --- point-to-point (called by Comm) ---
@@ -138,60 +162,46 @@ class Runtime {
                  std::vector<std::byte> payload, double depart_time);
   Envelope blocking_recv(int self, int source, int tag, std::uint64_t group);
 
-  // --- sub-communicator support ---
-  /// State of one process group (world communicator = group id 0, created
-  /// implicitly). Guarded by coll_mutex_ like the world collective state.
-  struct GroupState {
+  // --- process groups and their rendezvous ---
+  /// The last arrival's combine: reads every member's input (indexed by
+  /// member) and returns either one result shared by all members or one
+  /// result per member (personalized collectives such as alltoallv). A
+  /// null combine returns nothing (barrier).
+  using CombineFn = std::function<std::vector<std::vector<std::byte>>(
+      const std::vector<std::vector<std::byte>>&)>;
+
+  /// One communicator's members and the rendezvous they meet in. Lives at
+  /// a stable address (Comm caches a pointer) until the next run().
+  struct Group {
+    explicit Group(std::uint64_t group_id, std::vector<int> world_ranks);
+
+    std::uint64_t id;
     std::vector<int> members;  // world ranks, ordered by (key, world rank)
-    std::uint64_t generation = 0;
-    int arrived = 0;
+    // Member-written, read by the last arrival once all have arrived.
     std::vector<std::vector<std::byte>> inputs;
-    std::vector<std::byte> result;
-    std::vector<std::vector<std::byte>> results_per_rank;
-    bool personalized = false;
-    double max_entry = 0.0;
-    double cost = 0.0;
+    std::vector<double> entry;
+    std::vector<double> cost;
+    std::vector<const char*> kind;
+    // Last-arrival-written, read by every member once the word moves.
+    std::vector<std::vector<std::byte>> result;  // 1 block (shared) or n
     double exit = 0.0;
+    alignas(64) std::atomic<int> arrived{0};
+    /// generation << 1 | aborted; the futex word waiters sleep on.
+    alignas(64) std::atomic<std::uint32_t> word{0};
   };
 
-  /// Registers (or finds) the group with these members; returns its id.
-  std::uint64_t intern_group(std::vector<int> members);
-  const GroupState& group(std::uint64_t id);
+  /// Registers (or finds) the group with these members.
+  Group& intern_group(std::vector<int> members);
 
-  // --- generic synchronizing collective ---
-  /// Every rank contributes `input` and a cost (all ranks must pass the same
-  /// cost). Rank 0's `combine` runs once over all inputs (indexed by rank);
-  /// its result is returned to every rank. Returns {result, exit_time}.
-  using CombineFn = std::function<std::vector<std::byte>(
-      const std::vector<std::vector<std::byte>>&)>;
-  std::vector<std::byte> collective(int rank, std::vector<std::byte> input,
+  /// The synchronizing collective over `g`: member `member` contributes
+  /// `input` and a modeled cost (the max over members is charged). `kind`
+  /// names the collective; members entering different kinds fail the job.
+  /// Returns this member's result and sets `*exit_time`.
+  std::vector<std::byte> rendezvous(Group& g, int member, const char* kind,
+                                    std::vector<std::byte> input,
                                     const CombineFn& combine,
                                     double cost_seconds, double entry_time,
                                     double* exit_time);
-
-  /// Personalized variant: `combine` (run once, by the last arrival) returns
-  /// one result *per rank*; each rank receives its own slot. Used by
-  /// alltoallv, where every rank gets different data.
-  using CombinePerRankFn = std::function<std::vector<std::vector<std::byte>>(
-      const std::vector<std::vector<std::byte>>&)>;
-  std::vector<std::byte> collective_personalized(
-      int rank, std::vector<std::byte> input, const CombinePerRankFn& combine,
-      double cost_seconds, double entry_time, double* exit_time);
-
-  /// Group-scoped synchronizing collectives (same semantics as the world
-  /// variants, but over the group's members; `member_index` is the caller's
-  /// position in the group).
-  std::vector<std::byte> group_collective(std::uint64_t group_id,
-                                          int member_index,
-                                          std::vector<std::byte> input,
-                                          const CombineFn& combine,
-                                          double cost_seconds,
-                                          double entry_time,
-                                          double* exit_time);
-  std::vector<std::byte> group_collective_personalized(
-      std::uint64_t group_id, int member_index, std::vector<std::byte> input,
-      const CombinePerRankFn& combine, double cost_seconds, double entry_time,
-      double* exit_time);
 
   void abort_all();
   void check_abort() const;
@@ -201,20 +211,8 @@ class Runtime {
   std::vector<SimClock> clocks_;
   std::vector<CommStats> stats_;
 
-  std::unordered_map<std::uint64_t, GroupState> groups_;
-
-  // Collective rendezvous state (generation-counted so it is reusable).
-  std::mutex coll_mutex_;
-  std::condition_variable coll_cv_;
-  std::uint64_t coll_generation_ = 0;
-  int coll_arrived_ = 0;
-  std::vector<std::vector<std::byte>> coll_inputs_;
-  std::vector<std::byte> coll_result_;
-  std::vector<std::vector<std::byte>> coll_results_per_rank_;
-  bool coll_personalized_ = false;
-  double coll_max_entry_ = 0.0;
-  double coll_cost_ = 0.0;
-  double coll_exit_ = 0.0;
+  std::mutex groups_mutex_;
+  std::unordered_map<std::uint64_t, std::unique_ptr<Group>> groups_;
 
   std::atomic<bool> aborted_{false};
   double recv_timeout_s_ = 120.0;

@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "apps/ns_solver.hpp"
 #include "apps/rd_solver.hpp"
+#include "la/kernels.hpp"
 #include "netsim/fabric.hpp"
+#include "platform/platform_spec.hpp"
 #include "simmpi/runtime.hpp"
 
 namespace hetero::apps {
@@ -383,6 +387,90 @@ TEST(Ns, PressureIsPinnedAtCorner) {
       }
     }
   });
+}
+
+// ---- virtual-time pins ------------------------------------------------------
+//
+// Direct runs on the ec2 model at 2^3 cells per rank, three steps each. The
+// job's virtual completion time and the per-rank CommStats summed over ranks
+// are pinned to the last bit (printed with %.17g): the simmpi rendezvous and
+// mailboxes may change how host threads meet, never what the model charges.
+// The pins hold for the fast kernels; the reference kernels send a
+// different message pattern and so are charged differently.
+
+struct VirtualTimePin {
+  std::string elapsed;
+  std::uint64_t collectives;
+  std::uint64_t messages;
+  std::uint64_t bytes;
+  std::string comm_seconds;
+};
+
+std::string exact(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+template <class Body>
+VirtualTimePin pin_direct_run(int ranks, const Body& body) {
+  const la::KernelMode saved = la::kernel_mode();
+  la::set_kernel_mode(la::KernelMode::kFast);
+  simmpi::Runtime rt(platform::platform_by_name("ec2").topology(ranks));
+  rt.run(body);
+  la::set_kernel_mode(saved);
+  VirtualTimePin pin{exact(rt.elapsed_sim_seconds()), 0, 0, 0, ""};
+  double comm_seconds = 0.0;
+  for (int r = 0; r < rt.size(); ++r) {
+    const simmpi::CommStats& s = rt.stats(r);
+    pin.collectives += s.collectives;
+    pin.messages += s.messages_sent;
+    pin.bytes += s.bytes_sent;
+    comm_seconds += s.comm_seconds;
+  }
+  pin.comm_seconds = exact(comm_seconds);
+  return pin;
+}
+
+VirtualTimePin pin_rd(int ranks, int global_cells) {
+  return pin_direct_run(ranks, [&](simmpi::Comm& comm) {
+    RdConfig config;
+    config.global_cells = global_cells;
+    config.cpu = platform::platform_by_name("ec2").cpu_model();
+    RdSolver solver(comm, config);
+    solver.run(3);
+  });
+}
+
+void expect_pin(const VirtualTimePin& got, const VirtualTimePin& want) {
+  EXPECT_EQ(got.elapsed, want.elapsed);
+  EXPECT_EQ(got.collectives, want.collectives);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.bytes, want.bytes);
+  EXPECT_EQ(got.comm_seconds, want.comm_seconds);
+}
+
+TEST(VirtualTimePin, DirectRdAt27Ranks) {
+  expect_pin(pin_rd(27, 6), {"0.1515117041356685", 8343, 21756, 3138192,
+                             "3.741595922377341"});
+}
+
+TEST(VirtualTimePin, DirectRdAt64Ranks) {
+  expect_pin(pin_rd(64, 8), {"0.57266324674033231", 24576, 75888, 10075968,
+                             "35.751929298524068"});
+}
+
+TEST(VirtualTimePin, DirectTaylorHoodNsAt8Ranks) {
+  const VirtualTimePin got = pin_direct_run(8, [&](simmpi::Comm& comm) {
+    NsConfig config;
+    config.global_cells = 4;
+    config.velocity_order = 2;
+    config.cpu = platform::platform_by_name("ec2").cpu_model();
+    NsSolver solver(comm, config);
+    solver.run(3);
+  });
+  expect_pin(got, {"0.092351805047621513", 13440, 4408, 2432288,
+                   "0.18082227609525553"});
 }
 
 }  // namespace

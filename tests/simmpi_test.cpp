@@ -7,7 +7,9 @@
 #include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <thread>
 
+#include "netsim/collectives.hpp"
 #include "netsim/fabric.hpp"
 #include "resil/recovery.hpp"
 #include "simmpi/comm.hpp"
@@ -404,6 +406,19 @@ TEST(Split, KeyControlsTheOrdering) {
       EXPECT_EQ(all[0], 3);  // ordered by group rank = reversed world
       EXPECT_EQ(all[3], 0);
     }
+    // Roots are group ranks too: group rank 0 is world rank 3.
+    std::vector<std::int64_t> data;
+    if (sub.rank() == 0) {
+      data = {42};
+    }
+    sub.bcast(data, 0);
+    EXPECT_EQ(data, std::vector<std::int64_t>{42});
+    std::vector<std::vector<std::int64_t>> blocks;
+    if (sub.rank() == 0) {
+      blocks = {{0}, {10}, {20}, {30}};
+    }
+    EXPECT_EQ(sub.scatterv(blocks, 0),
+              std::vector<std::int64_t>{10 * sub.rank()});
   });
 }
 
@@ -581,6 +596,220 @@ TEST(Runtime, InjectedFaultAbortsBlockedPeersWithinTheGuardWindow) {
   // The runtime stays usable after the abort (the next attempt of a
   // recovery loop reuses fresh runtimes, but a reused one must not wedge).
   rt.run([&](Comm& comm) { comm.barrier(); });
+}
+
+double host_seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+TEST(Rendezvous, RankFailureAbortsPeersBlockedInAWorldCollective) {
+  Runtime rt(test_topology(6));
+  rt.set_recv_timeout(30.0);  // collectives have no guard; abort must wake
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    rt.run([&](Comm& comm) {
+      comm.barrier();
+      if (comm.rank() == 4) {
+        // Give the peers time to block before the failure.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        throw resil::InjectedFault(comm.rank(), 3);
+      }
+      comm.allreduce(1.0, ReduceOp::kSum);  // rank 4 never arrives
+      ADD_FAILURE() << "allreduce completed without rank 4";
+    });
+    FAIL() << "the fault should have aborted the job";
+  } catch (const resil::InjectedFault& fault) {
+    EXPECT_EQ(fault.rank(), 4);
+  }
+  EXPECT_LT(host_seconds_since(start), 10.0);
+
+  rt.run([&](Comm& comm) {
+    EXPECT_DOUBLE_EQ(comm.allreduce(1.0, ReduceOp::kSum), 6.0);
+    comm.barrier();
+  });
+}
+
+TEST(Rendezvous, RankFailureAbortsPeersBlockedInASubCommunicator) {
+  Runtime rt(test_topology(8));
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    rt.run([&](Comm& comm) {
+      Comm sub = comm.split(comm.rank() % 2, comm.rank());
+      if (comm.rank() == 3) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        throw Error("rank 3 exploded");
+      }
+      if (comm.rank() % 2 == 1) {
+        sub.allreduce(std::int64_t{1}, ReduceOp::kSum);  // rank 3 is missing
+        ADD_FAILURE() << "sub allreduce completed without rank 3";
+      }
+      // The even group completes its own collective, then blocks in a
+      // world barrier the odd group never reaches.
+      sub.allgatherv(std::vector<std::int64_t>{comm.rank()});
+      comm.barrier();
+      ADD_FAILURE() << "world barrier completed without the odd group";
+    });
+    FAIL() << "the failure should have aborted the job";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("exploded"), std::string::npos);
+  }
+  EXPECT_LT(host_seconds_since(start), 10.0);
+
+  rt.run([&](Comm& comm) {
+    Comm sub = comm.split(comm.rank() % 2, comm.rank());
+    EXPECT_EQ(sub.allreduce(std::int64_t{1}, ReduceOp::kSum), 4);
+    comm.barrier();
+  });
+}
+
+TEST(Rendezvous, MismatchedCollectivesFailLoudly) {
+  // Rank 0 enters one collective while its peers enter another: a shared
+  // pair (barrier / allreduce) and a personalized one against a shared one
+  // (alltoallv / allgatherv).
+  for (const bool personalized : {false, true}) {
+    Runtime rt(test_topology(4));
+    try {
+      rt.run([&](Comm& comm) {
+        if (!personalized) {
+          if (comm.rank() == 0) {
+            comm.barrier();
+          } else {
+            comm.allreduce(1.0, ReduceOp::kSum);
+          }
+        } else if (comm.rank() == 0) {
+          comm.alltoallv(std::vector<std::vector<double>>(4));
+        } else {
+          comm.allgatherv(std::vector<double>{1.0});
+        }
+      });
+      FAIL() << "mismatched collectives must not complete";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("mismatched collectives"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Rendezvous, StressMixedCollectivesAtMoreRanksThanCores) {
+  // 64 rank threads run back-to-back collectives whose kind changes
+  // pseudo-randomly per round, so the group's one result slot passes from
+  // every kind to every other (shared to personalized and back).
+  // Rank-dependent compute gives the ranks different entry clocks; every
+  // rank recomputes the exit clock, max(entry) + cost, from the schedule
+  // alone and checks it exactly. A failed check throws, which aborts the
+  // job instead of leaving the other ranks blocked in the next collective.
+  constexpr int p = 64;
+  constexpr int rounds = 1000;
+  const netsim::Topology topo = test_topology(p);
+  auto kind_of = [](int round) {
+    auto x = static_cast<std::uint32_t>(round);
+    x = (x ^ (x >> 16)) * 0x45d9f3bU;
+    x = (x ^ (x >> 16)) * 0x45d9f3bU;
+    return static_cast<int>((x ^ (x >> 16)) % 4);
+  };
+  auto compute_of = [](int rank, int round) {
+    return 1e-6 * ((rank * 31 + round * 17) % 23);
+  };
+  auto block_len = [](int src, int dest, int round) {
+    return static_cast<std::size_t>((src + dest + round) % 3);
+  };
+  int transitions[4][4] = {};
+  for (int round = 1; round < rounds; ++round) {
+    ++transitions[kind_of(round - 1)][kind_of(round)];
+  }
+  for (const auto& from : transitions) {
+    for (const int count : from) {
+      EXPECT_GT(count, 0);
+    }
+  }
+
+  Runtime rt(topo);
+  EXPECT_NO_THROW(rt.run([&](Comm& comm) {
+    const int me = comm.rank();
+    double exit = 0.0;
+    int round = 0;
+    auto check = [&](bool ok, const char* what) {
+      if (!ok) {
+        throw Error("rank " + std::to_string(me) + ", round " +
+                    std::to_string(round) + ": " + what);
+      }
+    };
+    for (; round < rounds; ++round) {
+      double max_entry = 0.0;
+      for (int r = 0; r < p; ++r) {
+        max_entry = std::max(max_entry, exit + compute_of(r, round));
+      }
+      comm.compute(compute_of(me, round));
+      double cost = 0.0;
+      switch (kind_of(round)) {
+        case 0: {
+          const std::vector<double> in{1.0 * (me + round), 1.0};
+          const auto out =
+              comm.allreduce(std::span<const double>(in), ReduceOp::kSum);
+          check(out.size() == 2 &&
+                    out[0] == p * (p - 1) / 2.0 + 1.0 * p * round &&
+                    out[1] == 1.0 * p,
+                "allreduce result");
+          cost = netsim::allreduce_time(topo, 2 * sizeof(double));
+          break;
+        }
+        case 1: {
+          std::vector<std::vector<std::int64_t>> out(p);
+          for (int d = 0; d < p; ++d) {
+            out[static_cast<std::size_t>(d)].assign(block_len(me, d, round),
+                                                    1000 * me + d + round);
+          }
+          const auto in = comm.alltoallv(out);
+          for (int s = 0; s < p; ++s) {
+            const auto& block = in[static_cast<std::size_t>(s)];
+            check(block.size() == block_len(s, me, round),
+                  "alltoallv block size");
+            for (const std::int64_t v : block) {
+              check(v == 1000 * s + me + round, "alltoallv block value");
+            }
+          }
+          // Every rank prices its own average block; the max is charged.
+          for (int r = 0; r < p; ++r) {
+            std::uint64_t bytes = 0;
+            for (int d = 0; d < p; ++d) {
+              bytes += block_len(r, d, round) * sizeof(std::int64_t);
+            }
+            cost = std::max(cost,
+                            netsim::alltoall_time(
+                                topo, std::max<std::uint64_t>(1, bytes / p)));
+          }
+          break;
+        }
+        case 2: {
+          const int root = round % p;
+          const std::size_t n = static_cast<std::size_t>(round % 5) + 1;
+          std::vector<double> data;
+          if (me == root) {
+            for (std::size_t i = 0; i < n; ++i) {
+              data.push_back(round + 0.5 * static_cast<double>(i));
+            }
+          }
+          comm.bcast(data, root);
+          check(data.size() == n, "bcast size");
+          for (std::size_t i = 0; i < n; ++i) {
+            check(data[i] == round + 0.5 * static_cast<double>(i),
+                  "bcast value");
+          }
+          cost = netsim::bcast_time(topo, n * sizeof(double));
+          break;
+        }
+        default:
+          comm.barrier();
+          cost = netsim::barrier_time(topo);
+      }
+      exit = max_entry + cost;
+      check(comm.now() == exit, "exit clock is not max(entry) + cost");
+    }
+  }));
+  EXPECT_EQ(rt.stats(0).collectives, static_cast<std::uint64_t>(rounds));
 }
 
 TEST(Runtime, DegradedWindowsSlowCommunicationDeterministically) {
