@@ -128,6 +128,27 @@ std::vector<double> skew_mean_factors(const resil::SkewPlan& plan, int ranks) {
   return factors;
 }
 
+/// Why a direct-run attempt ended before the final step.
+enum class Restart { kNone, kRecovery, kMigration, kRebalance };
+
+/// Per restart reason, in enum order: the trace category, the instant the
+/// checkpoint ahead of it leaves (rank side), and the instant the restart
+/// leaves on the job clock (host side). kNone is the periodic checkpoint.
+struct RestartTrace {
+  const char* category;
+  const char* checkpoint;
+  const char* restart;
+};
+constexpr RestartTrace kRestartTrace[] = {
+    {"resil", "checkpoint", nullptr},
+    {"resil", "checkpoint", "recovery_restart"},
+    {"rebroker", "migration_checkpoint", "migration"},
+    {"lb", "rebalance_checkpoint", "rebalance"},
+};
+const RestartTrace& restart_trace(Restart why) {
+  return kRestartTrace[static_cast<int>(why)];
+}
+
 }  // namespace
 
 ExperimentRunner::ExperimentRunner(std::uint64_t seed) : seed_(seed) {}
@@ -177,12 +198,6 @@ ExperimentResult ExperimentRunner::run(const Experiment& experiment) {
     HETERO_REQUIRE(experiment.mode == Mode::kDirect,
                    "load balancing needs --mode direct (the balancer samples "
                    "live per-rank step times)");
-    HETERO_REQUIRE(!experiment.recovery.shrink_ranks_on_crash,
-                   "load balancing conflicts with shrink-on-crash recovery "
-                   "(weights are keyed to the original rank count)");
-    HETERO_REQUIRE(!experiment.rebroker.enabled,
-                   "load balancing conflicts with re-brokering (at most one "
-                   "controller may rebuild the run mid-flight)");
     // Surfaces bad policy values (threshold <= 1, mode typos, ...) as API
     // errors before any solver work starts.
     lb::LoadBalancer probe(experiment.balance, experiment.ranks);
@@ -338,17 +353,22 @@ ExperimentResult ExperimentRunner::run_direct(
   const resil::FaultPlan plan = make_plan(experiment);
   const resil::RecoveryPolicy& policy = experiment.recovery;
   resil::RecoveryStats& rstats = result.resil;
+  const rebroker::Policy& rb = experiment.rebroker;
+  const bool rb_on = rb.enabled;
 
   std::unique_ptr<obs::TraceRecorder> recorder;
   std::optional<ScopedTraceInstall> install;
   if (!experiment.trace_path.empty()) {
-    recorder = std::make_unique<obs::TraceRecorder>(experiment.ranks);
+    // One row per rank of the widest attempt: recovery only shrinks the
+    // job, but a migration may grow it to the fallback's target ranks.
+    recorder = std::make_unique<obs::TraceRecorder>(
+        std::max(experiment.ranks, rb_on ? rb.target_ranks : 0));
     install.emplace(recorder.get());
   }
 
   // Global mesh: cells_per_rank_axis^3 per rank, cube decomposition. The
   // global problem is fixed by the *original* rank count and stays fixed
-  // when recovery shrinks the assembly (27 -> 8 after a reclaim) — the
+  // when a restart resizes the assembly (27 -> 8 after a reclaim) — the
   // survivors take over the lost gids.
   const int k = static_cast<int>(std::round(std::cbrt(experiment.ranks)));
   HETERO_REQUIRE(k * k * k == experiment.ranks,
@@ -356,33 +376,19 @@ ExperimentResult ExperimentRunner::run_direct(
   const int global_cells = experiment.cells_per_rank_axis * k;
   const int steps = experiment.direct_steps;
 
+  // What the next attempt runs on: a restart may change any of these
+  // (everything billed or timed below reads through `cur` and `ranks`).
+  const platform::PlatformSpec* cur = &spec;
   int ranks = experiment.ranks;
   int axis = k;
+  std::vector<double> rank_weights;  // empty = uniform partition
   rstats.final_ranks = ranks;
-
-  // The platform the job is currently running on; re-brokering migrations
-  // swap it mid-run (everything billed or timed below reads through `cur`).
-  const platform::PlatformSpec* cur = &spec;
 
   const bool use_ckpt =
       policy.kind == resil::RecoveryKind::kCheckpointRestart;
-  // Re-brokering checkpoints through `io` at the migration step even when
-  // the recovery policy itself never checkpoints.
-  const rebroker::Policy& rb = experiment.rebroker;
-  const bool rb_on = rb.enabled;
-
-  // The load-balancing control loop mirrors the re-brokering one: every
-  // rank holds an identical LoadBalancer copy fed the same allgathered
-  // step-time vector, so the rebalance verdict is reached on all ranks
-  // without communication; rank 0's copy is canonical and is adopted back
-  // after the attempt.
-  lb::LoadBalancer lb_canonical(experiment.balance, experiment.ranks);
-  const bool lb_on = lb_canonical.enabled();
-  std::vector<lb::LoadBalancer> rank_lb;
-  std::vector<double> rank_weights;  // empty until the first rebalance
-  bool rebalance_pending = false;    // set by drive(), consumed by the host
-
-  const bool need_ckpt_file = use_ckpt || rb_on || lb_on;
+  // Re-brokering and load balancing checkpoint through `io` ahead of their
+  // restarts even when the recovery policy itself never checkpoints.
+  const bool need_ckpt_file = use_ckpt || rb_on || experiment.balance.enabled;
   const std::string ckpt_path = need_ckpt_file ? checkpoint_scratch_path() : "";
   // Checkpoint bookkeeping. Written by rank 0 of the running attempt, read
   // by the host thread and the next attempt — Runtime::run joins all rank
@@ -401,17 +407,17 @@ ExperimentResult ExperimentRunner::run_direct(
   // starts here, so a restart from a checkpoint exposes fewer cells.
   auto resume_step = [&] { return have_checkpoint ? ckpt_step : 0; };
 
-  // The re-brokering control loop. `canonical` is the host's copy; each
-  // attempt hands every simulated rank an identical copy, so the migrate
-  // verdict is reached on all ranks without communication, and rank 0's
-  // copy (whose trail saw every completed step) is adopted back. The
-  // default-constructed disabled controller still counts storms so a
-  // static plan's outcome reports what the market did to it.
+  // The mid-run controllers. Each attempt hands every simulated rank an
+  // identical copy of each enabled one, fed the same allreduced (step time)
+  // or allgathered (per-rank step times) observation, so every rank reaches
+  // the same verdict without communication; rank 0's copies are canonical
+  // and are adopted back after the attempt. The disabled re-brokering
+  // controller still counts storms so a static plan's outcome reports what
+  // the market did to it.
   rebroker::Controller canonical;
   std::vector<rebroker::Controller> rank_ctl;
-  double rb_elapsed_base_s = 0.0;  // job virtual clock across attempts
-  double rb_spent_base_usd = 0.0;  // dollars billed across attempts
-  bool migration_pending = false;  // set by drive(), consumed by the host
+  lb::LoadBalancer lb_canonical(experiment.balance, experiment.ranks);
+  std::vector<lb::LoadBalancer> rank_lb;
   if (rb_on) {
     const std::uint64_t rb_seed = hash_combine(
         hash_combine(0x7262726bULL /* "rbrk" */, seed_), experiment.seed);
@@ -424,96 +430,24 @@ ExperimentResult ExperimentRunner::run_direct(
                              redo_steps);
   }
 
-  // Runs one attempt of `solver` from `start_step`, injecting the planned
-  // crash or spot-reclaim storm, writing periodic checkpoints, and feeding
-  // completed steps to the re-brokering controllers. A migrate verdict
-  // checkpoints collectively and unwinds the attempt *cleanly* (no
-  // exception): every rank reaches the same verdict from the same
-  // allreduced step time, so they all return together.
-  auto drive = [&](simmpi::Comm& comm, auto& solver, int start_step,
-                   const std::optional<resil::RankCrash>& crash,
-                   const std::optional<int>& storm) {
-    for (int s = start_step; s < steps; ++s) {
-      if (storm && s == *storm && comm.rank() == 0) {
-        obs::trace_instant("spot_reclaim", "resil", comm.now(), "step",
-                           static_cast<double>(s));
-        throw resil::SpotReclaim(s);
-      }
-      if (crash && s == crash->step && comm.rank() == crash->rank) {
-        obs::trace_instant("rank_crash", "resil", comm.now(), "step",
-                           static_cast<double>(s));
-        throw resil::InjectedFault(comm.rank(), s);
-      }
-      const apps::StepRecord record = solver.step();
-      if (comm.rank() == 0) {
-        records[static_cast<std::size_t>(s)] = record;
-      }
-      if (use_ckpt && (s + 1) % policy.checkpoint_every == 0 &&
-          s + 1 < steps) {
-        io::save_solver_checkpoint(comm, state_now(solver),
-                                   state_prev(solver), solver.current_time(),
-                                   s + 1, ckpt_path);
-        if (comm.rank() == 0) {
-          have_checkpoint = true;
-          ckpt_step = s + 1;
-          ++rstats.checkpoints_written;
-          resil_metrics().checkpoints.increment();
-          obs::trace_instant("checkpoint", "resil", comm.now(), "step",
-                             static_cast<double>(s + 1));
-        }
-      }
-      if (rb_on) {
-        // timing.total_s is an allreduced maximum — identical on every
-        // rank, so every controller copy folds the same observation.
-        const double cost_s = cur->cost_usd(ranks, record.timing.total_s);
-        if (comm.rank() == 0) {
-          step_cost[static_cast<std::size_t>(s)] = cost_s;
-        }
-        const bool migrate = rank_ctl[static_cast<std::size_t>(comm.rank())]
-                                 .observe_step(s, record.timing.total_s, cost_s);
-        if (migrate && s + 1 < steps) {
-          io::save_solver_checkpoint(comm, state_now(solver),
-                                     state_prev(solver), solver.current_time(),
-                                     s + 1, ckpt_path);
-          if (comm.rank() == 0) {
-            have_checkpoint = true;
-            ckpt_step = s + 1;
-            ++rstats.checkpoints_written;
-            resil_metrics().checkpoints.increment();
-            migration_pending = true;
-            obs::trace_instant("migration_checkpoint", "rebroker", comm.now(),
-                               "step", static_cast<double>(s + 1));
-          }
-          return;
-        }
-      }
-      if (lb_on && !record.rank_step_s.empty()) {
-        // rank_step_s is allgathered — identical on every rank, so every
-        // balancer copy folds the same observation and agrees.
-        const bool rebalance =
-            rank_lb[static_cast<std::size_t>(comm.rank())].observe(
-                s, std::span<const double>(record.rank_step_s));
-        if (rebalance && s + 1 < steps) {
-          io::save_solver_checkpoint(comm, state_now(solver),
-                                     state_prev(solver), solver.current_time(),
-                                     s + 1, ckpt_path);
-          if (comm.rank() == 0) {
-            have_checkpoint = true;
-            ckpt_step = s + 1;
-            ++rstats.checkpoints_written;
-            resil_metrics().checkpoints.increment();
-            rebalance_pending = true;
-            obs::trace_instant("rebalance_checkpoint", "lb", comm.now(),
-                               "step", static_cast<double>(s + 1));
-          }
-          return;
-        }
-      }
-    }
-  };
+  // The job's virtual clock and spend across attempts, backoffs and
+  // migration queue waits included: the re-brokering controller prices
+  // against them and every host-side restart instant is stamped with the
+  // clock.
+  double job_s = 0.0;
+  double job_usd = 0.0;
+
+  // Why the last attempt ended before the final step: rank 0 writes a
+  // controller's verdict; an injected fault means kRecovery.
+  Restart restart = Restart::kNone;
 
   // One attempt: build the solver (restoring from the checkpoint if we
-  // have one) and drive it to the end or to the planned crash.
+  // have one) and run it from there, injecting the planned crash or
+  // spot-reclaim storm. After each step every enabled controller folds the
+  // same allreduced/allgathered data, so all ranks reach the same verdict;
+  // the one checkpoint site then writes the periodic checkpoint or the one
+  // a restart needs, and a restart unwinds the attempt *cleanly* (no
+  // exception) on every rank together.
   auto run_attempt = [&](simmpi::Runtime& runtime, auto make_solver,
                          const std::optional<resil::RankCrash>& crash,
                          const std::optional<int>& storm) {
@@ -528,10 +462,68 @@ ExperimentResult ExperimentRunner::run_direct(
         solver.restore_state(u_now, u_prev, meta.time);
         start_step = meta.steps_done;
       }
-      drive(comm, solver, start_step, crash, storm);
+      const auto r = static_cast<std::size_t>(comm.rank());
+      for (int s = start_step; s < steps; ++s) {
+        if (storm && s == *storm && r == 0) {
+          obs::trace_instant("spot_reclaim", "resil", comm.now(), "step",
+                             static_cast<double>(s));
+          throw resil::SpotReclaim(s);
+        }
+        if (crash && s == crash->step && comm.rank() == crash->rank) {
+          obs::trace_instant("rank_crash", "resil", comm.now(), "step",
+                             static_cast<double>(s));
+          throw resil::InjectedFault(comm.rank(), s);
+        }
+        const apps::StepRecord record = solver.step();
+        const auto at = static_cast<std::size_t>(s);
+        if (r == 0) {
+          records[at] = record;
+        }
+        Restart want = Restart::kNone;
+        if (rb_on) {
+          // timing.total_s is an allreduced maximum, identical everywhere.
+          const double cost_s = cur->cost_usd(ranks, record.timing.total_s);
+          if (r == 0) {
+            step_cost[at] = cost_s;
+          }
+          if (rank_ctl[r].observe_step(s, record.timing.total_s, cost_s)) {
+            want = Restart::kMigration;
+          }
+        }
+        // rank_step_s is allgathered, and collected only while balancing.
+        // A migration outranks a rebalance: the move repartitions anyway.
+        if (!record.rank_step_s.empty() &&
+            rank_lb[r].observe(s, std::span<const double>(record.rank_step_s)) &&
+            want == Restart::kNone) {
+          want = Restart::kRebalance;
+        }
+        const bool periodic =
+            use_ckpt && (s + 1) % policy.checkpoint_every == 0;
+        if (s + 1 == steps || (!periodic && want == Restart::kNone)) {
+          continue;
+        }
+        io::save_solver_checkpoint(comm, state_now(solver),
+                                   state_prev(solver), solver.current_time(),
+                                   s + 1, ckpt_path);
+        if (r == 0) {
+          have_checkpoint = true;
+          ckpt_step = s + 1;
+          ++rstats.checkpoints_written;
+          resil_metrics().checkpoints.increment();
+          obs::trace_instant(restart_trace(want).checkpoint,
+                             restart_trace(want).category, comm.now(), "step",
+                             static_cast<double>(s + 1));
+          restart = want;
+        }
+        if (want != Restart::kNone) {
+          return;
+        }
+      }
     });
   };
 
+  // Every restart, whatever its reason, consumes the next attempt number:
+  // the fault plan, the recovery budget and the rebroker trail key on it.
   for (int attempt = 0;; ++attempt) {
     rstats.attempts = attempt + 1;
     auto crash = plan.rank_crash(ranks, steps, attempt, resume_step());
@@ -552,15 +544,14 @@ ExperimentResult ExperimentRunner::run_direct(
       }
     }
     if (rb_on) {
-      canonical.begin_attempt(attempt, cur->name, ranks, resume_step(),
-                              rb_elapsed_base_s, rb_spent_base_usd,
-                              canonical.outcome().storms,
+      canonical.begin_attempt(attempt, cur->name, ranks, resume_step(), job_s,
+                              job_usd, canonical.outcome().storms,
                               canonical.steps_observed());
       rank_ctl.assign(static_cast<std::size_t>(ranks), canonical);
     }
-    if (lb_on) {
-      rank_lb.assign(static_cast<std::size_t>(ranks), lb_canonical);
-    }
+    rank_lb.assign(lb_canonical.enabled() ? static_cast<std::size_t>(ranks)
+                                          : 0,
+                   lb_canonical);
     simmpi::Runtime runtime(cur->topology(ranks));
     if (plan.enabled()) {
       runtime.set_degradation(plan.degradation());
@@ -574,56 +565,97 @@ ExperimentResult ExperimentRunner::run_direct(
       runtime.set_compute_scale(
           [splan](int rank, double now) { return splan.factor_at(rank, now); });
     }
+    restart = Restart::kNone;
+    std::optional<resil::InjectedFault> fault;
+    // What both apps' configs take from the attempt.
+    auto configure = [&](auto config) {
+      config.global_cells = global_cells;
+      config.cpu = cur->cpu_model();
+      config.rank_weights = rank_weights;
+      config.collect_rank_step_s = !rank_lb.empty();
+      return config;
+    };
     try {
       if (experiment.app == perf::AppKind::kReactionDiffusion) {
         run_attempt(
             runtime,
             [&](simmpi::Comm& comm) {
-              apps::RdConfig config;
-              config.global_cells = global_cells;
-              config.cpu = cur->cpu_model();
-              config.rank_weights = rank_weights;
-              config.collect_rank_step_s = lb_on;
-              return apps::RdSolver(comm, config);
+              return apps::RdSolver(comm, configure(apps::RdConfig{}));
             },
             crash, storm);
       } else {
+        apps::NsConfig ns;
+        ns.velocity_order = experiment.element_order;
         run_attempt(
             runtime,
             [&](simmpi::Comm& comm) {
-              apps::NsConfig config;
-              config.global_cells = global_cells;
-              config.velocity_order = experiment.element_order;
-              config.cpu = cur->cpu_model();
-              config.rank_weights = rank_weights;
-              config.collect_rank_step_s = lb_on;
-              return apps::NsSolver(comm, config);
+              return apps::NsSolver(comm, configure(ns));
             },
             crash, storm);
       }
-      if (rb_on) {
-        canonical = rank_ctl[0];
+    } catch (const resil::InjectedFault& f) {
+      fault = f;
+      restart = Restart::kRecovery;
+    }
+    if (rb_on) {
+      canonical = rank_ctl[0];
+    }
+    if (!rank_lb.empty()) {
+      lb_canonical = rank_lb[0];
+    }
+    if (restart == Restart::kNone) {
+      break;  // the attempt ran to the last step
+    }
+
+    const double attempt_s = runtime.elapsed_sim_seconds();
+    const double attempt_usd = cur->cost_usd(ranks, attempt_s);
+    if (fault) {
+      const int wasted = std::max(0, fault->step() - resume_step());
+      ++rstats.faults_injected;
+      rstats.wasted_sim_s += attempt_s;
+      rstats.wasted_cost_usd += attempt_usd;
+      rstats.steps_wasted += wasted;
+      resil_metrics().faults.increment();
+      resil_metrics().steps_wasted.add(static_cast<double>(wasted));
+      resil_metrics().wasted_cost_usd.add(attempt_usd);
+      if (fault->rank() < 0) {
+        // A storm, not a host: the whole allocation went away.
+        canonical.record_storm(fault->step(), job_s + attempt_s);
       }
-      if (lb_on) {
-        lb_canonical = rank_lb[0];
+      if (policy.kind == resil::RecoveryKind::kNone ||
+          attempt + 1 >= policy.max_attempts) {
+        resil_metrics().unrecovered.increment();
+        result.failure_reason =
+            std::string(fault->what()) + "; unrecovered after " +
+            std::to_string(attempt + 1) + " attempt(s) with policy '" +
+            resil::to_string(policy.kind) + "'";
+        break;
       }
-      if (rebalance_pending) {
-        rebalance_pending = false;
-        // Turn the measured speeds into the next attempt's capacity
-        // weights; the attempt resumes from the rebalance checkpoint on a
-        // freshly weighted partition (gid-keyed restore, as for recovery).
-        lb_canonical.record_rebalance();
-        rank_weights = lb_canonical.rank_weights();
-        lb_metrics().rebalances.increment();
-        obs::trace_instant("rebalance", "lb", runtime.elapsed_sim_seconds(),
-                           "step", static_cast<double>(ckpt_step));
-        continue;
-      }
-      if (migration_pending) {
-        migration_pending = false;
-        const double attempt_s = runtime.elapsed_sim_seconds();
-        const std::string from_platform = cur->name;
-        const int from_ranks = ranks;
+    }
+
+    // Turn the restart reason into the next attempt's platform, ranks and
+    // weights, and the wait (backoff or queue) before it starts.
+    const platform::PlatformSpec* const from = cur;
+    const int from_ranks = ranks;
+    double wait_s = 0.0;
+    const char* mark = restart_trace(restart).restart;
+    switch (restart) {
+      case Restart::kRecovery:
+        wait_s = resil::backoff_delay_s(policy, attempt);
+        rstats.retry_delay_s += wait_s;
+        rstats.steps_recovered += resume_step();
+        resil_metrics().retry_delay_s.add(wait_s);
+        resil_metrics().steps_recovered.add(
+            static_cast<double>(resume_step()));
+        if (policy.shrink_ranks_on_crash && axis > 1) {
+          // A reclaim took hosts: restart on the next smaller cube. The
+          // checkpoint redistributes by gid, so the survivors pick up the
+          // lost ranks' share.
+          --axis;
+          ranks = axis * axis * axis;
+        }
+        break;
+      case Restart::kMigration: {
         const int target_ranks = canonical.move_ranks();
         const platform::PlatformSpec& target =
             platform::platform_by_name(rb.fallback_platform);
@@ -635,83 +667,55 @@ ExperimentResult ExperimentRunner::run_direct(
             static_cast<std::uint64_t>(canonical.outcome().migrations))));
         const sched::JobOutcome moved = sched::make_scheduler(target)->submit(
             {target_ranks, /*estimated_runtime_s=*/3600.0}, migration_rng);
-        rb_elapsed_base_s += attempt_s;
-        rb_spent_base_usd += cur->cost_usd(ranks, attempt_s);
         if (!moved.launched) {
           // The fallback would not take the job; resume from the migration
           // checkpoint on the platform we never left.
           canonical.record_migration_failed(moved.failure_reason);
-          continue;
+          mark = nullptr;
+          break;
         }
-        canonical.record_migration(ckpt_step, from_platform, from_ranks,
-                                   target.name, target_ranks, moved.wait_s);
-        rb_elapsed_base_s += moved.wait_s;
+        canonical.record_migration(ckpt_step, cur->name, ranks, target.name,
+                                   target_ranks, moved.wait_s);
+        wait_s = moved.wait_s;
         cur = &target;
         ranks = target_ranks;
         axis = static_cast<int>(std::round(std::cbrt(target_ranks)));
-        rstats.final_ranks = ranks;
-        obs::trace_instant("migration", "rebroker", rb_elapsed_base_s,
-                           "to_ranks", static_cast<double>(target_ranks));
-        continue;
+        break;
       }
-      break;  // attempt survived
-    } catch (const resil::InjectedFault& fault) {
-      ++rstats.faults_injected;
-      const double dead_s = runtime.elapsed_sim_seconds();
-      rstats.wasted_sim_s += dead_s;
-      rstats.wasted_cost_usd += cur->cost_usd(ranks, dead_s);
-      rstats.steps_wasted += std::max(0, fault.step() - resume_step());
-      resil_metrics().faults.increment();
-      resil_metrics().steps_wasted.add(
-          static_cast<double>(std::max(0, fault.step() - resume_step())));
-      resil_metrics().wasted_cost_usd.add(cur->cost_usd(ranks, dead_s));
-      if (rb_on) {
-        canonical = rank_ctl[0];
-      }
-      if (lb_on) {
-        lb_canonical = rank_lb[0];
-      }
-      if (fault.rank() < 0) {
-        // A storm, not a host: the whole allocation went away. Counted on
-        // the canonical controller even when re-brokering is off, so the
-        // outcome still reports what the market did.
-        canonical.record_storm(fault.step(), rb_elapsed_base_s + dead_s);
-      }
-      if (policy.kind == resil::RecoveryKind::kNone ||
-          attempt + 1 >= policy.max_attempts) {
-        resil_metrics().unrecovered.increment();
-        result.launched = false;
-        result.failure_reason =
-            std::string(fault.what()) + "; unrecovered after " +
-            std::to_string(attempt + 1) + " attempt(s) with policy '" +
-            resil::to_string(policy.kind) + "'";
-        if (need_ckpt_file) std::remove(ckpt_path.c_str());
-        result.rebroker = canonical.take_outcome();
-        result.rebroker.final_platform = cur->name;
-        result.balance = lb_canonical.outcome();
-        return result;
-      }
-      const double delay = resil::backoff_delay_s(policy, attempt);
-      rstats.retry_delay_s += delay;
-      rstats.steps_recovered += resume_step();
-      resil_metrics().retry_delay_s.add(delay);
-      resil_metrics().steps_recovered.add(
-          static_cast<double>(resume_step()));
-      rb_elapsed_base_s += dead_s + delay;
-      rb_spent_base_usd += cur->cost_usd(ranks, dead_s);
-      if (policy.shrink_ranks_on_crash && axis > 1) {
-        // A reclaim took hosts: restart on the next smaller cube. The
-        // checkpoint redistributes by gid, so the survivors pick up the
-        // lost ranks' share.
-        --axis;
-        ranks = axis * axis * axis;
-        rstats.final_ranks = ranks;
-      }
-      obs::trace_instant("recovery_restart", "resil", dead_s, "attempt",
-                         static_cast<double>(attempt + 1));
+      case Restart::kRebalance:
+        // The measured speeds become the next attempt's capacity weights;
+        // it resumes from the rebalance checkpoint on a freshly weighted
+        // partition (gid-keyed restore, as for recovery).
+        lb_canonical.record_rebalance();
+        rank_weights = lb_canonical.rank_weights();
+        lb_metrics().rebalances.increment();
+        break;
+      case Restart::kNone:
+        break;
+    }
+    // In sequence: the attempt, then the wait before the next one.
+    job_s = job_s + attempt_s + wait_s;
+    job_usd += attempt_usd;
+    rstats.final_ranks = ranks;
+    if (cur != from || ranks != from_ranks) {
+      // Measured speeds describe ranks that no longer exist: the balancer
+      // starts over uniform, keeping its counters and rebalance budget.
+      lb_canonical.restart(ranks);
+      rank_weights.clear();
+    }
+    if (mark != nullptr) {
+      obs::trace_instant(mark, restart_trace(restart).category, job_s,
+                         "attempt", static_cast<double>(attempt + 1));
     }
   }
   if (need_ckpt_file) std::remove(ckpt_path.c_str());
+  result.rebroker = canonical.take_outcome();
+  result.rebroker.final_platform = cur->name;
+  result.balance = lb_canonical.outcome();
+  if (!result.failure_reason.empty()) {
+    result.launched = false;
+    return result;
+  }
   rstats.recovered = rstats.faults_injected > 0;
   if (rstats.recovered) {
     resil_metrics().recoveries.increment();
@@ -750,10 +754,7 @@ ExperimentResult ExperimentRunner::run_direct(
   result.work_per_rank = work;
   result.nodal_error = nodal_error;
   result.solver_converged = converged;
-  result.rebroker = canonical.take_outcome();
-  result.rebroker.final_platform = cur->name;
-  result.balance = lb_canonical.outcome();
-  if (lb_on) {
+  if (experiment.balance.enabled) {
     lb_metrics().checks.add(static_cast<double>(result.balance.checks));
   }
   if (result.rebroker.migrations > 0) {

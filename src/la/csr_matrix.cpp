@@ -102,9 +102,6 @@ void CsrMatrix::multiply_impl(std::span<const double> x, std::span<double> y,
     return;
   }
 
-#ifdef HETERO_SPMV_SELL
-  sell_multiply(x, y, accumulate);
-#else
   // Fast path: four rows in lockstep. Each row keeps a private accumulator
   // fed in ascending-slot order — the same chain as the reference loop, so
   // results are bit-identical — while the four chains overlap in the
@@ -148,143 +145,7 @@ void CsrMatrix::multiply_impl(std::span<const double> x, std::span<double> y,
     }
     yp[r] = acc;
   }
-#endif
 }
-
-#ifdef HETERO_SPMV_SELL
-namespace {
-constexpr int kSellChunk = 8;    // C: rows per chunk (one lane each)
-constexpr int kSellSigma = 128;  // sigma: length-sort window, in rows
-}  // namespace
-
-void CsrMatrix::sell_build() const {
-  auto& s = sell_;
-  // Sort rows by descending length inside each sigma window (stable, so
-  // equal-length rows keep mesh order and runs stay deterministic).
-  std::vector<int> order(static_cast<std::size_t>(rows_));
-  for (int r = 0; r < rows_; ++r) {
-    order[static_cast<std::size_t>(r)] = r;
-  }
-  auto row_len = [&](int r) {
-    return row_ptr_[static_cast<std::size_t>(r) + 1] -
-           row_ptr_[static_cast<std::size_t>(r)];
-  };
-  for (int w = 0; w < rows_; w += kSellSigma) {
-    const auto begin = order.begin() + w;
-    const auto end = order.begin() + std::min(rows_, w + kSellSigma);
-    std::stable_sort(begin, end,
-                     [&](int a, int b) { return row_len(a) > row_len(b); });
-  }
-
-  s.chunk_count = (rows_ + kSellChunk - 1) / kSellChunk;
-  s.rows.assign(static_cast<std::size_t>(s.chunk_count) * kSellChunk, -1);
-  s.lane_len.assign(static_cast<std::size_t>(s.chunk_count) * kSellChunk, 0);
-  s.chunk_ptr.assign(static_cast<std::size_t>(s.chunk_count) + 1, 0);
-  for (int c = 0; c < s.chunk_count; ++c) {
-    std::int64_t width = 0;
-    for (int lane = 0; lane < kSellChunk; ++lane) {
-      const int pos = c * kSellChunk + lane;
-      if (pos >= rows_) {
-        break;
-      }
-      const int row = order[static_cast<std::size_t>(pos)];
-      const std::size_t slot = static_cast<std::size_t>(pos);
-      s.rows[slot] = row;
-      s.lane_len[slot] = static_cast<int>(row_len(row));
-      width = std::max(width, row_len(row));
-    }
-    s.chunk_ptr[static_cast<std::size_t>(c) + 1] =
-        s.chunk_ptr[static_cast<std::size_t>(c)] + width * kSellChunk;
-  }
-  const auto total =
-      static_cast<std::size_t>(s.chunk_ptr[static_cast<std::size_t>(s.chunk_count)]);
-  s.col.assign(total, 0);
-  s.val.assign(total, 0.0);
-  for (int c = 0; c < s.chunk_count; ++c) {
-    const std::int64_t base = s.chunk_ptr[static_cast<std::size_t>(c)];
-    for (int lane = 0; lane < kSellChunk; ++lane) {
-      const std::size_t slot =
-          static_cast<std::size_t>(c) * kSellChunk +
-          static_cast<std::size_t>(lane);
-      const int row = s.rows[slot];
-      if (row < 0) {
-        continue;
-      }
-      const std::int64_t rbegin = row_ptr_[static_cast<std::size_t>(row)];
-      for (int j = 0; j < s.lane_len[slot]; ++j) {
-        s.col[static_cast<std::size_t>(base + j * kSellChunk + lane)] =
-            col_idx_[static_cast<std::size_t>(rbegin + j)];
-      }
-    }
-  }
-  s.built = true;
-}
-
-void CsrMatrix::sell_pack_values() const {
-  auto& s = sell_;
-  for (int c = 0; c < s.chunk_count; ++c) {
-    const std::int64_t base = s.chunk_ptr[static_cast<std::size_t>(c)];
-    for (int lane = 0; lane < kSellChunk; ++lane) {
-      const std::size_t slot =
-          static_cast<std::size_t>(c) * kSellChunk +
-          static_cast<std::size_t>(lane);
-      const int row = s.rows[slot];
-      if (row < 0) {
-        continue;
-      }
-      const std::int64_t rbegin = row_ptr_[static_cast<std::size_t>(row)];
-      for (int j = 0; j < s.lane_len[slot]; ++j) {
-        s.val[static_cast<std::size_t>(base + j * kSellChunk + lane)] =
-            values_[static_cast<std::size_t>(rbegin + j)];
-      }
-    }
-  }
-  s.packed_version = values_version_;
-}
-
-void CsrMatrix::sell_multiply(std::span<const double> x, std::span<double> y,
-                              bool accumulate) const {
-  auto& s = sell_;
-  if (!s.built) {
-    sell_build();
-    sell_pack_values();
-  } else if (s.packed_version != values_version_) {
-    sell_pack_values();
-  }
-  const double* xp = x.data();
-  double* yp = y.data();
-  for (int c = 0; c < s.chunk_count; ++c) {
-    const std::int64_t base = s.chunk_ptr[static_cast<std::size_t>(c)];
-    const std::int64_t width =
-        (s.chunk_ptr[static_cast<std::size_t>(c) + 1] - base) / kSellChunk;
-    const std::size_t lane0 =
-        static_cast<std::size_t>(c) * kSellChunk;
-    double acc[kSellChunk];
-    for (int lane = 0; lane < kSellChunk; ++lane) {
-      const int row = s.rows[lane0 + static_cast<std::size_t>(lane)];
-      acc[lane] = (accumulate && row >= 0) ? yp[row] : 0.0;
-    }
-    for (std::int64_t j = 0; j < width; ++j) {
-      const std::int64_t off = base + j * kSellChunk;
-      for (int lane = 0; lane < kSellChunk; ++lane) {
-        // The length guard keeps padding out of the accumulation chain, so
-        // lane sums match the CSR row loops bit for bit (even around -0.0).
-        if (j < s.lane_len[lane0 + static_cast<std::size_t>(lane)]) {
-          acc[lane] +=
-              s.val[static_cast<std::size_t>(off + lane)] *
-              xp[s.col[static_cast<std::size_t>(off + lane)]];
-        }
-      }
-    }
-    for (int lane = 0; lane < kSellChunk; ++lane) {
-      const int row = s.rows[lane0 + static_cast<std::size_t>(lane)];
-      if (row >= 0) {
-        yp[row] = acc[lane];
-      }
-    }
-  }
-}
-#endif  // HETERO_SPMV_SELL
 
 double CsrMatrix::at(int row, int col) const {
   const std::int64_t s = slot(row, col);

@@ -8,8 +8,7 @@
 namespace hetero::lb {
 
 LoadBalancer::LoadBalancer(const BalancePolicy& policy, int ranks)
-    : policy_(policy), ranks_(ranks) {
-  HETERO_REQUIRE(ranks >= 1, "load balancer needs ranks >= 1");
+    : policy_(policy) {
   HETERO_REQUIRE(policy.threshold > 1.0,
                  "balance threshold must be > 1 (1.0 would re-trigger on "
                  "the rounding noise of a perfect partition)");
@@ -25,6 +24,12 @@ LoadBalancer::LoadBalancer(const BalancePolicy& policy, int ranks)
       "balance weight clamp needs 0 < min_weight <= max_weight");
   HETERO_REQUIRE(policy.diffusion_eta > 0.0 && policy.diffusion_eta <= 1.0,
                  "balance diffusion_eta must be in (0, 1]");
+  restart(ranks);
+}
+
+void LoadBalancer::restart(int ranks) {
+  HETERO_REQUIRE(ranks >= 1, "load balancer needs ranks >= 1");
+  ranks_ = ranks;
   // EWMAs primed with no model: the first observation seeds them.
   ewma_.assign(static_cast<std::size_t>(ranks),
                obs::DriftEstimator(0.0, 0.5));

@@ -87,6 +87,11 @@ class LoadBalancer {
   /// EWMAs so post-rebalance measurements start fresh.
   void record_rebalance();
 
+  /// Starts over at `ranks` ranks (a restart moved or resized the job):
+  /// uniform weights, fresh EWMAs. The outcome carries over, and with it
+  /// the max_rebalances budget, which is per run.
+  void restart(int ranks);
+
   /// Current per-rank capacity weights (mean 1.0); uniform until the first
   /// record_rebalance(). Feed to the weighted partitioners.
   const std::vector<double>& rank_weights() const { return weights_; }

@@ -1,6 +1,7 @@
 #include "simmpi/runtime.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <exception>
 #include <numeric>
@@ -27,6 +28,7 @@ void Runtime::run(const std::function<void(Comm&)>& rank_main) {
     stats_[static_cast<std::size_t>(r)].bytes_by_dest.assign(
         static_cast<std::size_t>(p), 0);
     mailboxes_[static_cast<std::size_t>(r)].queue.clear();
+    mailboxes_[static_cast<std::size_t>(r)].exited.store(false);
   }
   aborted_.store(false);
   groups_.clear();
@@ -58,6 +60,7 @@ void Runtime::run(const std::function<void(Comm&)>& rank_main) {
         }
         abort_all();
       }
+      mailboxes_[static_cast<std::size_t>(r)].exited.store(true);
     });
   }
   for (auto& t : threads) {
@@ -109,13 +112,17 @@ Runtime::Envelope Runtime::blocking_recv(int self, int source, int tag,
   box.want_group = group;
   for (;;) {
     box.waiting = false;
-    check_abort();
     for (auto it = box.queue.begin(); it != box.queue.end(); ++it) {
       if (it->source == source && it->tag == tag && it->group == group) {
         Envelope env = std::move(*it);
         box.queue.erase(it);
         return env;
       }
+    }
+    const bool aborted = aborted_.load();
+    if (aborted &&
+        mailboxes_[static_cast<std::size_t>(source)].exited.load()) {
+      throw Aborted();  // the sender is gone: the message can never come
     }
     if (recv_timeout_s_ > 0.0) {
       const double waited =
@@ -135,7 +142,11 @@ Runtime::Envelope Runtime::blocking_recv(int self, int source, int tag,
       }
     }
     box.waiting = true;
-    box.cv.wait_for(lock, std::chrono::milliseconds(50));
+    if (aborted) {
+      box.cv.wait_for(lock, std::chrono::microseconds(200));
+    } else {
+      box.cv.wait_for(lock, std::chrono::milliseconds(50));
+    }
   }
 }
 
@@ -164,7 +175,7 @@ Runtime::Group& Runtime::intern_group(std::vector<int> members) {
     if (it == groups_.end()) {
       auto g = std::make_unique<Group>(id, std::move(members));
       if (aborted_.load()) {
-        g->word.store(1);  // born into a dying job: never wait on it
+        g->word.store(1);  // born into a dying job: waiters poll for exits
       }
       return *groups_.emplace(id, std::move(g)).first->second;
     }
@@ -182,11 +193,7 @@ std::vector<std::byte> Runtime::rendezvous(Group& g, int member,
                                            double cost_seconds,
                                            double entry_time,
                                            double* exit_time) {
-  check_abort();
   const std::uint32_t word = g.word.load(std::memory_order_acquire);
-  if (word & 1U) {
-    throw Aborted();
-  }
   const auto m = static_cast<std::size_t>(member);
   const std::size_t n = g.members.size();
   g.inputs[m] = std::move(input);
@@ -216,9 +223,20 @@ std::vector<std::byte> Runtime::rendezvous(Group& g, int member,
     g.word.fetch_add(2, std::memory_order_release);
     g.word.notify_all();
   } else {
-    g.word.wait(word, std::memory_order_acquire);
-    if (g.word.load(std::memory_order_acquire) & 1U) {
-      throw Aborted();
+    // Done once the generation moves, even if an abort raced in behind the
+    // last arrival. After an abort, fail only when a member has exited.
+    for (;;) {
+      const std::uint32_t now = g.word.load(std::memory_order_acquire);
+      if ((now >> 1) != (word >> 1)) {
+        break;
+      }
+      if ((now & 1U) == 0) {
+        g.word.wait(now, std::memory_order_acquire);
+      } else if (member_exited(g)) {
+        throw Aborted();
+      } else {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
     }
   }
   *exit_time = g.exit;
@@ -243,10 +261,13 @@ void Runtime::abort_all() {
   }
 }
 
-void Runtime::check_abort() const {
-  if (aborted_.load()) {
-    throw Aborted();
+bool Runtime::member_exited(const Group& g) const {
+  for (const int m : g.members) {
+    if (mailboxes_[static_cast<std::size_t>(m)].exited.load()) {
+      return true;
+    }
   }
+  return false;
 }
 
 }  // namespace hetero::simmpi

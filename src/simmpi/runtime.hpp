@@ -35,6 +35,11 @@
 ///   * Each mailbox records the (source, tag, group) its owner is blocked
 ///     on; a send wakes the owner only for a matching envelope. A 50 ms
 ///     poll backs the abort check and the deadlocked-recv guard.
+///   * After an abort the surviving ranks run on until they need something
+///     that can no longer come: a message from a rank whose body has
+///     returned or thrown, or a collective one of whose members has. Where
+///     each survivor stops, and so its virtual clock, is therefore the same
+///     whatever the thread timing. Post-abort waits poll every 200 us.
 
 #include <atomic>
 #include <condition_variable>
@@ -91,7 +96,8 @@ class Runtime {
 
   /// Runs `rank_main` once per rank, each on its own thread, and joins.
   /// If any rank throws, all others are aborted and the first exception is
-  /// rethrown here.
+  /// rethrown here. Aborted ranks stop at a point fixed by the program, not
+  /// by thread timing (see the file comment).
   void run(const std::function<void(Comm&)>& rank_main);
 
   /// Virtual completion time of the job: max over rank clocks after run().
@@ -155,6 +161,9 @@ class Runtime {
     int want_source = 0;
     int want_tag = 0;
     std::uint64_t want_group = 0;
+    /// The owner's body has returned or thrown: it sends and arrives no
+    /// more.
+    std::atomic<bool> exited{false};
   };
 
   // --- point-to-point (called by Comm) ---
@@ -204,7 +213,9 @@ class Runtime {
                                     double* exit_time);
 
   void abort_all();
-  void check_abort() const;
+  /// After an abort: true once a member of `g` has exited, so the
+  /// rendezvous it is missing from can never complete.
+  bool member_exited(const Group& g) const;
 
   netsim::Topology topology_;
   std::vector<Mailbox> mailboxes_;

@@ -84,15 +84,15 @@ expect_run(fail "repartition.*diffuse"
   --app rd --platform puma --ranks 8 --mode direct --balance
   --balance-mode magic)
 
-# Conflicting mid-run controllers: balance vs shrink-on-crash...
-expect_run(fail "--balance conflicts with --shrink"
+# The mid-run controllers compose: balance with shrink-on-crash...
+expect_run(ok ""
   --app rd --platform puma --ranks 8 --mode direct --balance
   --faults 0.05 --recovery ckpt --shrink)
 
-# ...and balance vs re-brokering.
-expect_run(fail "--balance conflicts with --rebroker"
+# ...and balance with re-brokering.
+expect_run(ok ""
   --app rd --platform puma --ranks 8 --mode direct --balance
-  --rebroker smp)
+  --rebroker lagrange)
 
 # --steps drives the simulated run; modeled projections have no steps.
 expect_run(fail "--steps .* needs .*--mode direct"

@@ -8,19 +8,25 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "lb/load_balancer.hpp"
 #include "mesh/box_mesh.hpp"
+#include "obs/bench_io.hpp"
+#include "obs/json.hpp"
 #include "partition/graph.hpp"
 #include "partition/partitioner.hpp"
 #include "perf/scaling_model.hpp"
 #include "prop_util.hpp"
 #include "resil/skew_plan.hpp"
 #include "support/error.hpp"
+#include "svc/result_codec.hpp"
 
 namespace hetero {
 namespace {
@@ -440,17 +446,117 @@ TEST(LoadBalancedRun, ApiRejectsConflictingConfigurations) {
   EXPECT_THROW(runner.run(e), Error);
   e = direct_rd(8, 3);
   e.balance.enabled = true;
-  e.recovery.kind = resil::RecoveryKind::kCheckpointRestart;
-  e.recovery.shrink_ranks_on_crash = true;
-  EXPECT_THROW(runner.run(e), Error);
-  e = direct_rd(8, 3);
-  e.balance.enabled = true;
-  e.rebroker.enabled = true;
-  EXPECT_THROW(runner.run(e), Error);
-  e = direct_rd(8, 3);
-  e.balance.enabled = true;
   e.balance.threshold = 0.9;
   EXPECT_THROW(runner.run(e), Error);
+}
+
+// ---------------------------------------------------------------------------
+// Composition: rebalancing, crash recovery and re-brokering share one
+// checkpoint -> unwind -> restart path, so any mix of them runs.
+
+core::Experiment skewed_balanced(core::Experiment e) {
+  e.skew.slow_core_fraction = 0.25;
+  e.skew.slow_core_factor = 2.0;
+  e.balance.enabled = true;
+  e.balance.threshold = 1.1;
+  e.recovery.kind = resil::RecoveryKind::kCheckpointRestart;
+  e.recovery.checkpoint_every = 2;
+  // Rebalances and migrations consume attempt numbers too.
+  e.recovery.max_attempts = 10;
+  return e;
+}
+
+/// Balanced ec2 run under a spot-reclaim storm rate that re-brokers to
+/// puma; seed 46 storms, rebalances and migrates.
+core::Experiment balanced_rebroker_run() {
+  core::Experiment e = skewed_balanced(direct_rd(8, 16));
+  e.platform = "ec2";
+  e.faults.reclaim_storm_rate = 0.03;
+  e.rebroker.enabled = true;
+  e.rebroker.fallback_platform = "puma";
+  e.rebroker.hysteresis = 0.15;
+  e.rebroker.deadline_s = 40.0;
+  e.seed = 46;
+  return e;
+}
+
+TEST(ComposedRun, BalanceWithShrinkOnCrashPassesTheOracleAndReplays) {
+  // A skewed 27-rank run rebalances and a crash shrinks it to 8 ranks:
+  // after the shrink the balancer starts over uniform at 8, and the
+  // survivors finish the same global problem.
+  core::Experiment base = skewed_balanced(direct_rd(27, 8));
+  base.cells_per_rank_axis = 2;
+  base.faults.rank_crash_rate = 0.008;
+  base.recovery.shrink_ranks_on_crash = true;
+
+  bool found = false;
+  for (std::uint64_t seed = 1; seed <= 20 && !found; ++seed) {
+    core::Experiment e = base;
+    e.seed = seed;
+    const auto r = core::ExperimentRunner(42).run(e);
+    if (!r.launched || r.resil.faults_injected != 1 ||
+        r.resil.final_ranks != 8 || r.balance.rebalances == 0) {
+      continue;
+    }
+    found = true;
+    EXPECT_TRUE(r.solver_converged);
+    EXPECT_LT(r.nodal_error, 1e-8);
+    const auto replay = core::ExperimentRunner(42).run(e);
+    EXPECT_EQ(svc::encode_result(r), svc::encode_result(replay));
+  }
+  EXPECT_TRUE(found) << "no seed in 1..20 rebalanced and shrank 27 -> 8";
+}
+
+TEST(ComposedRun, BalanceWithRebrokerMigratesPassesTheOracleAndReplays) {
+  const core::Experiment e = balanced_rebroker_run();
+  const auto r = core::ExperimentRunner(42).run(e);
+  ASSERT_TRUE(r.launched) << r.failure_reason;
+  EXPECT_GE(r.rebroker.migrations, 1);
+  EXPECT_EQ(r.rebroker.final_platform, "puma");
+  EXPECT_GE(r.balance.rebalances, 1);
+  EXPECT_TRUE(r.solver_converged);
+  EXPECT_LT(r.nodal_error, 1e-8);
+  const auto replay = core::ExperimentRunner(42).run(e);
+  EXPECT_EQ(svc::encode_result(r), svc::encode_result(replay));
+}
+
+TEST(ComposedRun, HostSideRestartInstantsIncreaseOnTheJobClock) {
+#ifdef HETERO_OBS_DISABLED
+  GTEST_SKIP() << "observability compiled out (HETERO_OBS=OFF)";
+#endif
+  const std::string trace_path =
+      ::testing::TempDir() + "lb_test_restarts.trace.json";
+  core::Experiment e = balanced_rebroker_run();
+  e.trace_path = trace_path;
+  const auto r = core::ExperimentRunner(42).run(e);
+  ASSERT_TRUE(r.launched) << r.failure_reason;
+
+  const auto docs = obs::read_jsonl(trace_path);
+  ASSERT_EQ(docs.size(), 1u);
+  const obs::Json& events = docs[0].at("traceEvents");
+  // The trace lists events by timestamp. On one clock that is the order
+  // the restarts happened in, so the attempt each one starts increases
+  // with it, and no two restarts share a stamp.
+  std::vector<double> stamps;
+  double last_attempt = 0.0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const obs::Json& event = events[i];
+    const std::string& name = event.at("name").as_string();
+    if (name != "recovery_restart" && name != "rebalance" &&
+        name != "migration") {
+      continue;
+    }
+    stamps.push_back(event.at("ts").as_number());
+    const double attempt = event.at("args").at("attempt").as_number();
+    EXPECT_GT(attempt, last_attempt) << name;
+    last_attempt = attempt;
+  }
+  ASSERT_GE(stamps.size(), 2u);
+  EXPECT_EQ(stamps.size(), static_cast<std::size_t>(r.resil.attempts - 1));
+  for (std::size_t i = 1; i < stamps.size(); ++i) {
+    EXPECT_LT(stamps[i - 1], stamps[i]) << "restart instant " << i;
+  }
+  std::remove(trace_path.c_str());
 }
 
 TEST(ModeledRun, SkewDegradesModeledTimeByTheUnbalancedSlowdown) {

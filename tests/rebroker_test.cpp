@@ -9,12 +9,15 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "broker/predictor.hpp"
 #include "core/campaign_engine.hpp"
 #include "core/experiment.hpp"
+#include "obs/bench_io.hpp"
+#include "obs/json.hpp"
 #include "rebroker/controller.hpp"
 #include "rebroker/quote.hpp"
 #include "support/error.hpp"
@@ -199,6 +202,46 @@ TEST(Rebroker, MigrationLandsExactSolutionOracle) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(migrated.nodal_error),
             std::bit_cast<std::uint64_t>(baseline.nodal_error));
   EXPECT_EQ(migrated.solver_converged, baseline.solver_converged);
+}
+
+TEST(Rebroker, TracedMigrationThatGrowsTheJobTracesEveryRank) {
+  // A migration may land on more ranks than the job started with: the
+  // trace needs a row for every rank of the widest attempt.
+  const std::string trace_path =
+      ::testing::TempDir() + "rebroker_test_grow.trace.json";
+  auto e = stormy_adaptive_experiment();
+  e.ranks = 1;
+  e.rebroker.target_ranks = 8;
+  e.trace_path = trace_path;
+  const auto r = core::ExperimentRunner(42).run(e);
+  ASSERT_TRUE(r.launched) << r.failure_reason;
+  ASSERT_GE(r.rebroker.migrations, 1);
+  EXPECT_EQ(r.resil.final_ranks, 8);
+  EXPECT_LT(r.nodal_error, 1e-8);
+
+  const auto docs = obs::read_jsonl(trace_path);
+  ASSERT_EQ(docs.size(), 1u);
+  const obs::Json& events = docs[0].at("traceEvents");
+  int rows = 0;
+  std::vector<int> events_per_rank(8, 0);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const int tid = static_cast<int>(events[i].at("tid").as_number());
+    ASSERT_GE(tid, 0);
+    ASSERT_LT(tid, 8);
+    if (events[i].at("ph").as_string() == "M") {
+      ++rows;
+    } else {
+      ++events_per_rank[static_cast<std::size_t>(tid)];
+    }
+  }
+  EXPECT_EQ(rows, 8);  // a thread_name row per rank
+#ifndef HETERO_OBS_DISABLED
+  for (int rank = 0; rank < 8; ++rank) {
+    EXPECT_GT(events_per_rank[static_cast<std::size_t>(rank)], 0)
+        << "rank " << rank << " recorded nothing";
+  }
+#endif
+  std::remove(trace_path.c_str());
 }
 
 TEST(Rebroker, CalmAdaptiveRunIsExactlyStatic) {

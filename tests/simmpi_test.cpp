@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <thread>
 
 #include "netsim/collectives.hpp"
@@ -347,6 +348,37 @@ TEST(Runtime, RankFailureAbortsTheJob) {
                  comm.recv<double>((comm.rank() + 1) % 3, 99);
                }),
                Error);
+}
+
+TEST(Runtime, AbortedSurvivorsStopWhereTheyNeedAnExitedRank) {
+  // Where a survivor stops after an abort must not depend on thread
+  // timing. Both survivors reach their receives only after rank 2 has
+  // failed, yet both messages arrive: rank 2 sent its one before failing,
+  // and rank 0 is alive to send its own. Each survivor then stops at the
+  // barrier rank 2 can no longer join.
+  Runtime rt(test_topology(3));
+  try {
+    rt.run([&](Comm& comm) {
+      if (comm.rank() == 2) {
+        comm.send(std::vector<double>{1.0}, 0, 5);
+        throw Error("rank 2 exploded");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      if (comm.rank() == 0) {
+        comm.recv<double>(2, 5);
+        comm.send(std::vector<double>{2.0}, 1, 6);
+      } else {
+        comm.recv<double>(0, 6);
+      }
+      comm.barrier();
+      ADD_FAILURE() << "barrier completed without rank 2";
+    });
+    FAIL() << "the failure should have aborted the job";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("exploded"), std::string::npos);
+  }
+  EXPECT_EQ(rt.stats(0).messages_received, 1u);
+  EXPECT_EQ(rt.stats(1).messages_received, 1u);
 }
 
 TEST(Runtime, RunIsReusable) {

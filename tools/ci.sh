@@ -35,7 +35,8 @@
 #             under ASan, bench_ablation_load_balance against
 #             bench/baselines/load_balance.json (balancing must win >= 1.2x
 #             of modeled total time at 27 ranks under 2x skew while calm
-#             cells stay bitwise), and a --jobs 1 vs 8 byte-identity gate
+#             cells stay bitwise), a --jobs 1 vs 8 byte-identity gate, and
+#             same-seed replay gates on balance+shrink and balance+rebroker
 #   procsoak  multi-process backend: proc tests under ASan, a
 #             500-experiment chaos soak (5% crash/hang/exit injected; must
 #             complete byte-identical minus quarantined poison jobs), and a
@@ -306,6 +307,29 @@ job_loadbalance() {
   diff "$out_dir/loadbalance.jobs1.txt" "$out_dir/loadbalance.jobs8.txt"
   diff "$out_dir/ablation_load_balance.jsonl" \
       "$out_dir/ablation_load_balance.jobs8.jsonl"
+  # Balancing composes with shrink-on-crash (27 -> 8 ranks) and with
+  # re-brokering (ec2 -> puma): both share the one restart path, and each
+  # composed run must finish and replay byte for byte from the same seed.
+  for rep in 1 2; do
+    build-ci-asan/tools/heterolab run --app rd --platform puma --ranks 27 \
+        --mode direct --cells 2 --steps 8 --seed 12 --skew 2 --balance \
+        --balance-threshold 1.1 --faults 0.008 --recovery ckpt --shrink \
+        --json "$out_dir/compose_shrink.$rep.jsonl" \
+        > "$out_dir/compose_shrink.$rep.txt"
+    build-ci-asan/tools/heterolab run --app rd --platform ec2 --ranks 8 \
+        --mode direct --cells 2 --steps 16 --seed 46 --skew 2 --balance \
+        --balance-threshold 1.1 --storm-rate 0.03 --recovery ckpt \
+        --rebroker puma --rebroker-deadline-s 40 \
+        --rebroker-trail "$out_dir/compose_rebroker_trail.$rep.jsonl" \
+        --json "$out_dir/compose_rebroker.$rep.jsonl" \
+        > "$out_dir/compose_rebroker.$rep.txt"
+  done
+  for f in compose_shrink compose_rebroker; do
+    diff "$out_dir/$f.1.txt" "$out_dir/$f.2.txt"
+    diff "$out_dir/$f.1.jsonl" "$out_dir/$f.2.jsonl"
+  done
+  diff "$out_dir/compose_rebroker_trail.1.jsonl" \
+      "$out_dir/compose_rebroker_trail.2.jsonl"
 }
 
 job_procsoak() {

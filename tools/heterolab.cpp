@@ -223,12 +223,6 @@ int cmd_run(const CliArgs& args) {
                                        !args.has("balance-mode")),
                  "--balance-threshold/--balance-mode tune --balance: pass "
                  "--balance as well");
-  HETERO_REQUIRE(!(e.balance.enabled && e.recovery.shrink_ranks_on_crash),
-                 "--balance conflicts with --shrink: rebalance weights are "
-                 "keyed to the original rank count");
-  HETERO_REQUIRE(!(e.balance.enabled && e.rebroker.enabled),
-                 "--balance conflicts with --rebroker: at most one mid-run "
-                 "controller may rebuild the job");
   if (e.mode == core::Mode::kDirect &&
       e.cells_per_rank_axis == 20 && !args.has("cells")) {
     e.cells_per_rank_axis = 4;  // keep direct runs laptop-sized by default
