@@ -1,9 +1,10 @@
 // Host microbenchmarks of the direct-mode hot-path kernels: CSR SpMV,
 // fused DistVector updates, fused element assembly, and the full RD
-// per-iteration step. Every case runs the *same binary* twice — once with
-// the reference kernels (the executable specification) and once with the
-// fast kernels — so the reported speedup is a like-for-like host-time
-// ratio; the numerics are bit-identical either way (see docs/kernels.md).
+// per-iteration step. Every case runs in the *same binary* under both the
+// reference kernels (the executable specification) and the fast kernels,
+// in back-to-back reference/fast pairs, so the reported speedup is a
+// like-for-like host-time ratio; the numerics are bit-identical either way
+// (see docs/kernels.md).
 //
 // Unlike the virtual-clock phase timings of the figure benches, everything
 // here is host wall time: the platform models charge mode-independent
@@ -18,7 +19,6 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,16 +47,65 @@ double wall_s() {
       .count();
 }
 
-/// Best (minimum) wall time of `reps` invocations of `body`.
+/// Reference and fast host times of one kernel.
+struct PairedTimes {
+  double ref_min = 0.0;
+  double ref_max = 0.0;
+  double fast_min = 0.0;
+  double fast_max = 0.0;
+  double pair_median = 0.0;  // median of the per-pair ref/fast ratios
+};
+
+/// Times `seconds()` under each kernel mode in `pairs` back-to-back
+/// reference/fast pairs, alternating which mode goes first, so a burst of
+/// host load hits both modes rather than one mode's whole block.
 template <class F>
-double best_of(int reps, F&& body) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = wall_s();
-    body();
-    best = std::min(best, wall_s() - t0);
+PairedTimes paired(int pairs, F&& seconds) {
+  std::vector<double> ref, fast, ratio;
+  auto once = [&](la::KernelMode mode, std::vector<double>& into) {
+    la::set_kernel_mode(mode);
+    into.push_back(seconds());
+  };
+  for (int r = 0; r < pairs; ++r) {
+    if (r % 2 == 0) {
+      once(la::KernelMode::kReference, ref);
+      once(la::KernelMode::kFast, fast);
+    } else {
+      once(la::KernelMode::kFast, fast);
+      once(la::KernelMode::kReference, ref);
+    }
+    ratio.push_back(ref.back() / fast.back());
   }
-  return best;
+  std::sort(ratio.begin(), ratio.end());
+  const std::size_t mid = ratio.size() / 2;
+  PairedTimes t;
+  t.pair_median = ratio.size() % 2 == 1 ? ratio[mid]
+                                        : 0.5 * (ratio[mid - 1] + ratio[mid]);
+  const auto [ref_min, ref_max] = std::minmax_element(ref.begin(), ref.end());
+  const auto [fast_min, fast_max] =
+      std::minmax_element(fast.begin(), fast.end());
+  t.ref_min = *ref_min;
+  t.ref_max = *ref_max;
+  t.fast_min = *fast_min;
+  t.fast_max = *fast_max;
+  return t;
+}
+
+/// Wall time of one call of `body`.
+template <class F>
+double time_once(F&& body) {
+  const double t0 = wall_s();
+  body();
+  return wall_s() - t0;
+}
+
+/// Runs `body` once under each kernel mode (caches, lazy setup).
+template <class F>
+void warm_both_modes(F&& body) {
+  for (const auto mode : {la::KernelMode::kReference, la::KernelMode::kFast}) {
+    la::set_kernel_mode(mode);
+    body();
+  }
 }
 
 std::string fmt(double v) {
@@ -66,6 +115,30 @@ std::string fmt(double v) {
 }
 
 std::string fmt_int(std::int64_t v) { return std::to_string(v); }
+
+/// The timing columns every series prints: each mode's best and worst,
+/// the gated `speedup` (best over best) and the median pair ratio.
+const std::vector<std::string> kTimingHeader = {
+    "ref[s]", "ref_max[s]", "fast[s]", "fast_max[s]", "speedup",
+    "pair_median"};
+
+std::vector<std::string> row_of(std::vector<std::string> cells,
+                                const PairedTimes& t,
+                                std::vector<std::string> tail = {}) {
+  for (const double v : {t.ref_min, t.ref_max, t.fast_min, t.fast_max,
+                         t.ref_min / t.fast_min, t.pair_median}) {
+    cells.push_back(fmt(v));
+  }
+  cells.insert(cells.end(), tail.begin(), tail.end());
+  return cells;
+}
+
+std::vector<std::string> header_of(std::vector<std::string> lead,
+                                   std::vector<std::string> tail = {}) {
+  lead.insert(lead.end(), kTimingHeader.begin(), kTimingHeader.end());
+  lead.insert(lead.end(), tail.begin(), tail.end());
+  return lead;
+}
 
 /// P2 mass+stiffness matrix of an n^3 box, assembled serially — the
 /// realistic FEM sparsity the solver iterates on.
@@ -98,7 +171,7 @@ la::CsrMatrix make_fem_matrix(int cells, int order) {
 void bench_spmv(bench::BenchOutput& out, const CliArgs& args) {
   const int cells = static_cast<int>(args.get_int("spmv_cells", 10));
   const int iters = static_cast<int>(args.get_int("spmv_iters", 40));
-  const int reps = static_cast<int>(args.get_int("reps", 5));
+  const int reps = static_cast<int>(args.get_int("reps", 15));
   const auto a = make_fem_matrix(cells, 2);
   const auto rows = static_cast<std::size_t>(a.rows());
   std::vector<double> x(rows), y(rows);
@@ -106,31 +179,27 @@ void bench_spmv(bench::BenchOutput& out, const CliArgs& args) {
     x[i] = 1.0 + 1e-3 * static_cast<double>(i % 17);
   }
 
-  auto run = [&](la::KernelMode mode) {
-    la::set_kernel_mode(mode);
-    a.multiply(x, y);  // warm
-    return best_of(reps, [&] {
+  warm_both_modes([&] { a.multiply(x, y); });
+  const PairedTimes t = paired(reps, [&] {
+    return time_once([&] {
              for (int i = 0; i < iters; ++i) {
                a.multiply(x, y);
              }
            }) /
            iters;
-  };
-  const double ref_s = run(la::KernelMode::kReference);
+  });
+  // One multiply's modeled work (the counters are per call).
   const double f0 = la::spmv_work().flops();
   const double b0 = la::spmv_work().bytes();
-  const double fast_s = run(la::KernelMode::kFast);
-  // One multiply's worth of modeled work (counters are per-call).
-  const double calls = static_cast<double>((reps + 1) * iters + 1);
-  const double flops = (la::spmv_work().flops() - f0) / calls;
-  const double bytes = (la::spmv_work().bytes() - b0) / calls;
+  a.multiply(x, y);
+  const double flops = la::spmv_work().flops() - f0;
+  const double bytes = la::spmv_work().bytes() - b0;
 
-  Table table({"layout", "rows", "nnz", "ref[s]", "fast[s]", "speedup",
-               "flops", "bytes", "intensity"});
-  table.add_row({"csr", fmt_int(a.rows()),
-                 fmt_int(static_cast<std::int64_t>(a.nonzeros())), fmt(ref_s),
-                 fmt(fast_s), fmt(ref_s / fast_s), fmt(flops), fmt(bytes),
-                 fmt(flops / bytes)});
+  Table table(header_of({"layout", "rows", "nnz"},
+                        {"flops", "bytes", "intensity"}));
+  table.add_row(row_of({"csr", fmt_int(a.rows()),
+                        fmt_int(static_cast<std::int64_t>(a.nonzeros()))},
+                       t, {fmt(flops), fmt(bytes), fmt(flops / bytes)}));
   std::cout << "## SpMV (P2 mass+stiffness, " << cells << "^3 cells)\n";
   out.emit(table, "spmv");
   std::cout << "\n";
@@ -139,9 +208,9 @@ void bench_spmv(bench::BenchOutput& out, const CliArgs& args) {
 void bench_vec(bench::BenchOutput& out, const CliArgs& args) {
   const int n = static_cast<int>(args.get_int("vec_n", 1 << 18));
   const int iters = static_cast<int>(args.get_int("vec_iters", 40));
-  const int reps = static_cast<int>(args.get_int("reps", 5));
+  const int reps = static_cast<int>(args.get_int("reps", 15));
 
-  Table table({"op", "n", "ref[s]", "fast[s]", "speedup"});
+  Table table(header_of({"op", "n"}));
   auto runtime = std::make_shared<simmpi::Runtime>(netsim::Topology::uniform(
       1, 1, netsim::Fabric::shared_memory(), netsim::Fabric::shared_memory()));
   runtime->run([&](simmpi::Comm& comm) {
@@ -165,20 +234,16 @@ void bench_vec(bench::BenchOutput& out, const CliArgs& args) {
     }
 
     auto row = [&](const char* op, auto&& body) {
-      auto run = [&](la::KernelMode mode) {
-        la::set_kernel_mode(mode);
-        body();  // warm
-        return best_of(reps, [&] {
+      warm_both_modes(body);
+      const PairedTimes t = paired(reps, [&] {
+        return time_once([&] {
                  for (int i = 0; i < iters; ++i) {
                    body();
                  }
                }) /
                iters;
-      };
-      const double ref_s = run(la::KernelMode::kReference);
-      const double fast_s = run(la::KernelMode::kFast);
-      table.add_row({op, fmt_int(n), fmt(ref_s), fmt(fast_s),
-                     fmt(ref_s / fast_s)});
+      });
+      table.add_row(row_of({op, fmt_int(n)}, t));
     };
 
     double sink = 0.0;
@@ -204,12 +269,11 @@ void bench_vec(bench::BenchOutput& out, const CliArgs& args) {
 
 void bench_assembly(bench::BenchOutput& out, const CliArgs& args) {
   const int cells = static_cast<int>(args.get_int("assembly_cells", 6));
-  const int reps = static_cast<int>(args.get_int("reps", 5));
+  const int reps = static_cast<int>(args.get_int("reps", 15));
   auto& flops_c = obs::metrics().counter("fem.kernel.assembly.flops");
   auto& bytes_c = obs::metrics().counter("fem.kernel.assembly.bytes");
 
-  Table table(
-      {"order", "tets", "ref[s]", "fast[s]", "speedup", "flops", "bytes"});
+  Table table(header_of({"order", "tets"}, {"flops", "bytes"}));
   for (const int order : {1, 2}) {
     const auto mesh = mesh::build_box_mesh({cells, cells, cells});
     fem::FeSpace space(mesh, order,
@@ -225,21 +289,17 @@ void bench_assembly(bench::BenchOutput& out, const CliArgs& args) {
         kernel.mass_stiffness_load(t, source, me, ke, fe);
       }
     };
-    auto run = [&](la::KernelMode mode) {
-      la::set_kernel_mode(mode);
-      sweep();  // warm (builds the geometry cache in fast mode)
-      return best_of(reps, sweep);
-    };
-    const double ref_s = run(la::KernelMode::kReference);
+    warm_both_modes(sweep);  // builds the geometry cache in fast mode
+    const PairedTimes t = paired(reps, [&] { return time_once(sweep); });
+    // One fast sweep's modeled work.
     const double f0 = flops_c.value();
     const double b0 = bytes_c.value();
-    const double fast_s = run(la::KernelMode::kFast);
-    const double sweeps = static_cast<double>(reps + 1);
-    table.add_row({fmt_int(order),
-                   fmt_int(static_cast<std::int64_t>(mesh.tet_count())),
-                   fmt(ref_s), fmt(fast_s), fmt(ref_s / fast_s),
-                   fmt((flops_c.value() - f0) / sweeps),
-                   fmt((bytes_c.value() - b0) / sweeps)});
+    la::set_kernel_mode(la::KernelMode::kFast);
+    sweep();
+    const auto tets = static_cast<std::int64_t>(mesh.tet_count());
+    table.add_row(
+        row_of({fmt_int(order), fmt_int(tets)}, t,
+               {fmt(flops_c.value() - f0), fmt(bytes_c.value() - b0)}));
   }
   std::cout << "## Element assembly (fused mass+stiffness+load sweep, "
             << cells << "^3 cells)\n";
@@ -280,40 +340,13 @@ void bench_rd_direct(bench::BenchOutput& out, const CliArgs& args) {
   const int steps = static_cast<int>(args.get_int("steps", 6));
   const int reps = static_cast<int>(args.get_int("rd_reps", 15));
 
-  Table table({"ranks", "cells", "steps", "ref[s]", "ref_max[s]", "fast[s]",
-               "fast_max[s]", "speedup", "pair_median"});
+  Table table(header_of({"ranks", "cells", "steps"}));
   for (const int p : {1, ranks}) {
-    // Reference and fast repetitions run in back-to-back pairs (alternating
-    // which goes first), so a burst of host load hits both modes rather
-    // than one mode's whole block. `speedup` is best over best; min/max per
-    // mode and the median of the per-pair ratios show the spread.
-    std::vector<double> ref, fast, ratio;
-    auto once = [&](la::KernelMode mode, std::vector<double>& into) {
-      la::set_kernel_mode(mode);
-      into.push_back(rd_step_host_s(p, axis, steps));
-    };
-    for (int r = 0; r < reps; ++r) {
-      if (r % 2 == 0) {
-        once(la::KernelMode::kReference, ref);
-        once(la::KernelMode::kFast, fast);
-      } else {
-        once(la::KernelMode::kFast, fast);
-        once(la::KernelMode::kReference, ref);
-      }
-      ratio.push_back(ref.back() / fast.back());
-    }
-    std::sort(ratio.begin(), ratio.end());
-    const std::size_t mid = ratio.size() / 2;
-    const double median = ratio.size() % 2 == 1
-                              ? ratio[mid]
-                              : 0.5 * (ratio[mid - 1] + ratio[mid]);
-    const auto [ref_min, ref_max] = std::minmax_element(ref.begin(), ref.end());
-    const auto [fast_min, fast_max] =
-        std::minmax_element(fast.begin(), fast.end());
+    const PairedTimes t =
+        paired(reps, [&] { return rd_step_host_s(p, axis, steps); });
     const int per_axis = static_cast<int>(std::lround(std::cbrt(p)));
-    table.add_row({fmt_int(p), fmt_int(axis * per_axis), fmt_int(steps),
-                   fmt(*ref_min), fmt(*ref_max), fmt(*fast_min),
-                   fmt(*fast_max), fmt(*ref_min / *fast_min), fmt(median)});
+    table.add_row(
+        row_of({fmt_int(p), fmt_int(axis * per_axis), fmt_int(steps)}, t));
   }
   std::cout << "## RD direct per-iteration host time (P2, CG+ILU0, " << axis
             << " cells/rank-axis; best and worst of " << reps

@@ -11,28 +11,45 @@
 
 namespace hetero::la {
 
-namespace {
-
-/// Dense codes for the gids met during the freeze: a touched gid maps to
-/// its index in the sorted touched list, any other gid (a column outside
-/// this rank's touched set, which becomes an extra ghost) to
+/// Dense codes for the gids of the first round: a touched gid maps to its
+/// index in the sorted touched list, any other gid met by code() (a column
+/// outside this rank's touched set, which becomes an extra ghost) to
 /// touched.size() + the order it was first seen in. A small direct-mapped
 /// cache sits in front of the hash maps, since FEM assembly repeats each
 /// element's gids across the element's rows and columns and its
 /// neighbours; it cuts a 12^3 Taylor-Hood NS freeze by about a quarter.
-class GidCoder {
+class DistSystemBuilder::GidCoder {
  public:
-  explicit GidCoder(const std::unordered_map<GlobalId, std::int32_t>& touched)
-      : touched_(touched), cache_(kCacheSize) {}
+  explicit GidCoder(const std::vector<GlobalId>& touched)
+      : n_touched_(static_cast<std::int32_t>(touched.size())),
+        cache_(kCacheSize) {
+    touched_.reserve(touched.size());
+    for (std::size_t t = 0; t < touched.size(); ++t) {
+      touched_.emplace(touched[t], static_cast<std::int32_t>(t));
+    }
+  }
 
   std::int32_t code(GlobalId gid) {
-    Slot& slot = cache_[static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(gid) * 0x9E3779B97F4A7C15ULL) >>
-        (64 - kCacheBits))];
+    Slot& slot = slot_of(gid);
     if (slot.code < 0 || slot.gid != gid) {
       slot.gid = gid;
       slot.code = lookup(gid);
     }
+    return slot.code;
+  }
+
+  /// The touched index of `gid`, or -1; never assigns an extra code.
+  std::int32_t touched_code(GlobalId gid) {
+    Slot& slot = slot_of(gid);
+    if (slot.code >= 0 && slot.gid == gid) {
+      return slot.code < n_touched_ ? slot.code : -1;
+    }
+    const auto it = touched_.find(gid);
+    if (it == touched_.end()) {
+      return -1;
+    }
+    slot.gid = gid;
+    slot.code = it->second;
     return slot.code;
   }
 
@@ -46,6 +63,12 @@ class GidCoder {
     std::int32_t code = -1;
   };
 
+  Slot& slot_of(GlobalId gid) {
+    return cache_[static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(gid) * 0x9E3779B97F4A7C15ULL) >>
+        (64 - kCacheBits))];
+  }
+
   std::int32_t lookup(GlobalId gid) {
     if (const auto it = touched_.find(gid); it != touched_.end()) {
       return it->second;
@@ -58,11 +81,31 @@ class GidCoder {
     return it->second;
   }
 
-  const std::unordered_map<GlobalId, std::int32_t>& touched_;
+  std::int32_t n_touched_;
+  std::unordered_map<GlobalId, std::int32_t> touched_;
   std::vector<Slot> cache_;
   std::unordered_map<GlobalId, std::int32_t> extra_code_;
   std::vector<GlobalId> extras_;
 };
+
+struct DistSystemBuilder::FirstRound {
+  /// One matrix entry: the row's touched index, the column's code (see the
+  /// file comment) and the value.
+  struct Entry {
+    std::int32_t row = 0;
+    std::int32_t col = 0;
+    double value = 0.0;
+  };
+  static_assert(sizeof(Entry) == 16);
+
+  explicit FirstRound(const std::vector<GlobalId>& touched) : coder(touched) {}
+
+  GidCoder coder;
+  std::vector<Entry> mat;
+  std::vector<GlobalId> routed_cols;  // routed columns outside touched_
+};
+
+namespace {
 
 /// Frees a container's storage (`c = {}` would keep the capacity).
 template <class T>
@@ -90,7 +133,7 @@ std::vector<std::size_t> block_offsets(
 
 DistSystemBuilder::DistSystemBuilder(simmpi::Comm& comm,
                                      std::vector<GlobalId> touched)
-    : touched_(std::move(touched)) {
+    : rank_(comm.rank()), touched_(std::move(touched)) {
   std::sort(touched_.begin(), touched_.end());
   touched_.erase(std::unique(touched_.begin(), touched_.end()),
                  touched_.end());
@@ -98,7 +141,12 @@ DistSystemBuilder::DistSystemBuilder(simmpi::Comm& comm,
   touched_owner_ = directory_->lookup(comm, touched_);
 }
 
+DistSystemBuilder::~DistSystemBuilder() = default;
+
 void DistSystemBuilder::begin_assembly() {
+  if (!frozen_) {
+    first_.reset();  // a restarted first round must not keep its extras
+  }
   mat_pending_.clear();
   rhs_pending_.clear();
   mat_pos_ = 0;
@@ -147,7 +195,33 @@ void DistSystemBuilder::check_rhs_entry(std::int32_t dest,
   HETERO_REQUIRE(gid_of_[lid] == row, "refill changed the rhs sequence");
 }
 
+void DistSystemBuilder::add_first_round(GlobalId row, GlobalId col,
+                                        double value) {
+  if (!first_) {
+    first_ = std::make_unique<FirstRound>(touched_);
+  }
+  GidCoder& coder = first_->coder;
+  const std::int32_t t = coder.touched_code(row);
+  HETERO_REQUIRE(t >= 0,
+                 "contribution to a row this rank never declared as touched");
+  std::int32_t c;
+  if (touched_owner_[static_cast<std::size_t>(t)] == rank_) {
+    c = coder.code(col);
+  } else {
+    c = coder.touched_code(col);
+    if (c < 0) {
+      c = ~static_cast<std::int32_t>(first_->routed_cols.size());
+      first_->routed_cols.push_back(col);
+    }
+  }
+  first_->mat.push_back({t, c, value});
+}
+
 void DistSystemBuilder::add_matrix(GlobalId row, GlobalId col, double value) {
+  if (!frozen_) {
+    add_first_round(row, col, value);
+    return;
+  }
   if (!scatter_on_add_) {
     mat_pending_.push_back({row, col, value});
     return;
@@ -221,7 +295,12 @@ void DistSystemBuilder::freeze(simmpi::Comm& comm) {
   const int p = comm.size();
   const int me = comm.rank();
   const std::size_t n_touched = touched_.size();
-  const std::size_t n_mat = mat_pending_.size();
+  if (!first_) {
+    first_ = std::make_unique<FirstRound>(touched_);
+  }
+  GidCoder& coder = first_->coder;
+  const std::vector<FirstRound::Entry>& first = first_->mat;
+  const std::size_t n_mat = first.size();
   const std::size_t n_rhs = rhs_pending_.size();
 
   // The map numbers owned gids first, in gid order, and touched_ is
@@ -233,15 +312,9 @@ void DistSystemBuilder::freeze(simmpi::Comm& comm) {
       owned_lid[t] = owned++;
     }
   }
-  std::unordered_map<GlobalId, std::int32_t> touched_index;
-  touched_index.reserve(n_touched);
-  for (std::size_t t = 0; t < n_touched; ++t) {
-    touched_index.emplace(touched_[t], static_cast<std::int32_t>(t));
-  }
-  GidCoder coder(touched_index);
   auto row_index = [&](GlobalId row) {
-    const std::int32_t t = coder.code(row);
-    HETERO_REQUIRE(static_cast<std::size_t>(t) < n_touched,
+    const std::int32_t t = coder.touched_code(row);
+    HETERO_REQUIRE(t >= 0,
                    "contribution to a row this rank never declared as "
                    "touched");
     return t;
@@ -257,31 +330,33 @@ void DistSystemBuilder::freeze(simmpi::Comm& comm) {
   // Kept entries park their owned row in `dest` until the slots exist.
   // Routed ones get ~(flat send position): the per-rank send blocks back to
   // back, each in add order. `routed_row` holds each routed entry's touched
-  // index until the map gives it a local id.
-  auto route = [&](const auto& pending, std::vector<std::int32_t>& dest,
+  // index until the map gives it a local id. Entry i has touched row
+  // `row_of(i)` and ships as `gid_entry(i)`.
+  auto route = [&](std::size_t n, const auto& row_of, const auto& gid_entry,
+                   std::vector<std::int32_t>& dest,
                    std::vector<std::int32_t>& routed_row,
                    std::vector<std::size_t>& send_off) {
-    std::vector<std::vector<std::decay_t<decltype(pending[0])>>> out(
+    std::vector<std::vector<std::decay_t<decltype(gid_entry(0))>>> out(
         static_cast<std::size_t>(p));
-    dest.resize(pending.size());
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      const auto t = static_cast<std::size_t>(row_index(pending[i].row));
+    dest.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto t = static_cast<std::size_t>(row_of(i));
       const int owner = touched_owner_[t];
       if (owner == me) {
         dest[i] = owned_lid[t];
       } else {
         dest[i] = ~owner;
-        out[static_cast<std::size_t>(owner)].push_back(pending[i]);
+        out[static_cast<std::size_t>(owner)].push_back(gid_entry(i));
       }
     }
     send_off = block_offsets(out);
     std::vector<std::size_t> next(send_off.begin(), send_off.end() - 1);
     routed_row.resize(send_off.back());
-    for (std::size_t i = 0; i < pending.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       if (dest[i] < 0) {
         const std::size_t pos = next[static_cast<std::size_t>(~dest[i])]++;
         dest[i] = ~static_cast<std::int32_t>(pos);
-        routed_row[pos] = row_index(pending[i].row);
+        routed_row[pos] = row_of(i);
       }
     }
     return out;
@@ -297,8 +372,20 @@ void DistSystemBuilder::freeze(simmpi::Comm& comm) {
 
   std::vector<std::vector<GlobalTriplet>> mat_in;
   {
-    auto mat_out =
-        route(mat_pending_, mat_dest_, mat_routed_row_, mat_send_off_);
+    // A routed entry's column code is its touched index or ~(side-table
+    // position).
+    auto mat_out = route(
+        n_mat, [&](std::size_t i) { return first[i].row; },
+        [&](std::size_t i) {
+          const FirstRound::Entry& e = first[i];
+          const GlobalId col =
+              e.col >= 0
+                  ? touched_[static_cast<std::size_t>(e.col)]
+                  : first_->routed_cols[static_cast<std::size_t>(~e.col)];
+          return GlobalTriplet{touched_[static_cast<std::size_t>(e.row)], col,
+                               e.value};
+        },
+        mat_dest_, mat_routed_row_, mat_send_off_);
     mat_routed_col_.resize(mat_send_off_.back());
     for (std::size_t r = 0; r < mat_out.size(); ++r) {
       for (std::size_t j = 0; j < mat_out[r].size(); ++j) {
@@ -333,8 +420,10 @@ void DistSystemBuilder::freeze(simmpi::Comm& comm) {
     row_start[r + 1] += row_start[r];
   }
 
-  const auto rhs_in = comm.alltoallv(
-      route(rhs_pending_, rhs_dest_, rhs_routed_row_, rhs_send_off_));
+  const auto rhs_in = comm.alltoallv(route(
+      n_rhs, [&](std::size_t i) { return row_index(rhs_pending_[i].row); },
+      [&](std::size_t i) { return rhs_pending_[i]; }, rhs_dest_,
+      rhs_routed_row_, rhs_send_off_));
   rhs_recv_lid_.resize(count(rhs_in));
   k = 0;
   for (const auto& block : rhs_in) {
@@ -345,24 +434,26 @@ void DistSystemBuilder::freeze(simmpi::Comm& comm) {
 
   // ---- bucket column codes per owned row ---------------------------------
   // Key = column code << 32 | entry id (added entries 0..n_mat-1, received
-  // entries after them). Columns outside touched_ become extra ghosts.
+  // entries after them). Columns outside touched_ become extra ghosts;
+  // kept entries' columns were coded at add time, received ones are coded
+  // after them, so extras are numbered in entry order.
   std::vector<std::uint64_t> bucket(
       static_cast<std::size_t>(row_start.back()));
   {
     std::vector<std::int64_t> next(row_start.begin(), row_start.end() - 1);
-    auto put = [&](std::int32_t row, GlobalId col, std::size_t id) {
+    auto put = [&](std::int32_t row, std::int32_t code, std::size_t id) {
       bucket[static_cast<std::size_t>(next[static_cast<std::size_t>(row)]++)] =
-          static_cast<std::uint64_t>(coder.code(col)) << 32 | id;
+          static_cast<std::uint64_t>(code) << 32 | id;
     };
     for (std::size_t i = 0; i < n_mat; ++i) {
       if (mat_dest_[i] >= 0) {
-        put(mat_dest_[i], mat_pending_[i].col, i);
+        put(mat_dest_[i], first[i].col, i);
       }
     }
     k = 0;
     for (const auto& block : mat_in) {
       for (const auto& e : block) {
-        put(mat_recv_slot_[k], e.col, n_mat + k);
+        put(mat_recv_slot_[k], coder.code(e.col), n_mat + k);
         ++k;
       }
     }
@@ -445,7 +536,7 @@ void DistSystemBuilder::freeze(simmpi::Comm& comm) {
   auto values = csr.values_mut();
   for (std::size_t i = 0; i < n_mat; ++i) {
     if (mat_dest_[i] >= 0) {
-      values[static_cast<std::size_t>(mat_dest_[i])] += mat_pending_[i].value;
+      values[static_cast<std::size_t>(mat_dest_[i])] += first[i].value;
     }
   }
   k = 0;
@@ -469,8 +560,8 @@ void DistSystemBuilder::freeze(simmpi::Comm& comm) {
     }
   }
 
-  // The first round's buffers are freeze scratch.
-  release(mat_pending_);
+  // The first round's buffers and coder are freeze scratch.
+  first_.reset();
   release(rhs_pending_);
   gid_of_ = map_->gids().data();
   col_idx_ = matrix_->local().col_idx().data();

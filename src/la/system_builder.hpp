@@ -15,12 +15,18 @@
 /// rounds replay it shipping *values only* — the same optimization real FEM
 /// codes use.
 ///
-/// The freeze makes a few linear sweeps over the first round's entries,
-/// with no copy of the whole round and no global sort: gids map to dense
-/// codes through a small cache in front of one hash, every owned row's
-/// columns are bucketed, and each short row is sorted and deduplicated on
-/// its own. The first round's values are then summed in the replay order
-/// below, so the first round and any identical refill are bit-identical.
+/// The first round is buffered coded, 16 B per matrix entry: the row's
+/// index in the sorted touched list, a column code and the value. Gids
+/// map to dense codes at add time through a small cache in front of one
+/// hash (both dropped by the freeze). A column of an owned row codes as
+/// its touched index, or past the touched list when it becomes an extra
+/// ghost. A column of a routed row codes as its touched index, or as ~i
+/// into a side table of gids when this rank does not touch it, so that it
+/// never becomes a ghost here. The freeze makes a few linear sweeps over
+/// the buffered entries, with no global sort: every owned row's columns
+/// are bucketed, and each short row is sorted and deduplicated on its own.
+/// The first round's values are then summed in the replay order below, so
+/// the first round and any identical refill are bit-identical.
 ///
 /// Frozen plan, per assembled entry one int32 `dest`:
 ///   * dest >= 0 — the CSR slot of an entry whose row this rank owns;
@@ -34,7 +40,7 @@
 /// against 56 B for a stored sequence plus per-entry slot, rank and offset
 /// arrays. The routed values themselves live in a flat send buffer kept
 /// between rounds, 8 B more per routed entry (`send_buffer_bytes()`). The
-/// first round's 24 B triplet buffer is released once frozen.
+/// first round's 16 B entry buffer is released once frozen.
 ///
 /// Structure check. A refill entry (r, c) at sequence position i passes
 /// only if gid(row_of_slot[dest_i]) == r and gid(col_idx[dest_i]) == c
@@ -72,6 +78,7 @@ class DistSystemBuilder {
  public:
   /// Collective: establishes ownership of the dof gids this rank touches.
   DistSystemBuilder(simmpi::Comm& comm, std::vector<GlobalId> touched);
+  ~DistSystemBuilder();
 
   /// Starts an assembly round; clears pending contributions.
   void begin_assembly();
@@ -129,6 +136,10 @@ class DistSystemBuilder {
     double value = 0.0;
   };
 
+  class GidCoder;
+  struct FirstRound;
+
+  void add_first_round(GlobalId row, GlobalId col, double value);
   void freeze(simmpi::Comm& comm);
   void refill(simmpi::Comm& comm);
   /// Claims the next `n` matrix sequence positions; returns the first.
@@ -151,12 +162,16 @@ class DistSystemBuilder {
     }
   }
 
+  int rank_ = 0;
   std::vector<GlobalId> touched_;          // sorted, unique
   std::vector<int> touched_owner_;         // owner rank per touched_ entry
   std::optional<GidDirectory> directory_;
 
-  // Buffered contributions: the first round (released by the freeze) and
-  // reference-replay rounds.
+  // The first round's coder and coded matrix entries, made by its first
+  // add and released by the freeze.
+  std::unique_ptr<FirstRound> first_;
+  // Buffered reference-replay matrix rounds, and every round's rhs (the
+  // first round's released by the freeze).
   std::vector<GlobalTriplet> mat_pending_;
   std::vector<GlobalPair> rhs_pending_;
 

@@ -11,7 +11,10 @@
 /// The paper times preconditioner construction as its own phase (step iiia);
 /// `build()` is that phase.
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,13 +76,10 @@ class SsorPreconditioner final : public Preconditioner {
   std::vector<std::int64_t> row_ptr_;
   std::vector<int> col_idx_;
   std::vector<double> values_;
-  std::vector<double> diag_;
-  // Fast-mode rebuild plan: the block structure over a frozen matrix
-  // pattern is static, so repeat build()s only gather fresh values through
-  // these source-slot lists (see docs/kernels.md).
+  std::vector<std::int64_t> diag_slot_;
+  // Fast-mode rebuilds over the same frozen matrix pattern only copy each
+  // row's owned prefix into values_ (see docs/kernels.md).
   const std::int64_t* src_pattern_ = nullptr;
-  std::vector<std::int64_t> src_slot_;
-  std::vector<std::int64_t> diag_src_slot_;
 };
 
 /// ILU(0) of the local owned block.
@@ -89,9 +89,28 @@ class Ilu0Preconditioner final : public Preconditioner {
   void apply(const la::DistVector& r, la::DistVector& z) const override;
   std::string name() const override { return "ilu0"; }
 
+  /// The factor in its CSR image of the owned block: L strictly below the
+  /// diagonal (unit diagonal implicit), U on and above it.
+  std::span<const double> factor_values() const { return values_; }
+
+  /// Bytes retained between builds (capacity of every array): 12 B per
+  /// owned nonzero (column, value), 24 B per row (row pointer, diagonal
+  /// slot, IKJ scratch), and in fast mode the elimination schedule, 4 B per
+  /// update plus 2 B per pivot.
+  std::size_t bytes() const;
+
  private:
+  // One recorded row update: values_[row_i + dst] -= l_ik * values_[diag_k
+  // + 1 + src], offsets from row i's first slot and from past pivot row
+  // k's diagonal.
+  struct Update {
+    std::uint16_t dst = 0;
+    std::uint16_t src = 0;
+  };
+
   void factorize();
-  void factorize_ikj(bool record);
+  void factorize_ikj(Update* record);
+  void record_schedule();
 
   // Factorization stored in one CSR image of the local square block:
   // strictly-lower entries hold L (unit diagonal implicit), diagonal and
@@ -101,23 +120,21 @@ class Ilu0Preconditioner final : public Preconditioner {
   std::vector<int> col_idx_;
   std::vector<double> values_;
   std::vector<std::int64_t> diag_slot_;
-  // Fast-mode rebuild plan over a frozen matrix pattern: repeat build()s
-  // gather values through src_slot_ and refactorize in place instead of
-  // re-extracting the block; where_ is the persistent IKJ scratch.
+  // Fast-mode rebuilds over the same frozen matrix pattern copy each row's
+  // owned prefix into values_ and refactorize in place; where_ is the
+  // persistent IKJ scratch.
   const std::int64_t* src_pattern_ = nullptr;
-  std::vector<std::int64_t> src_slot_;
   std::vector<std::int64_t> where_;
   // Recorded IKJ schedule (fast mode): the elimination is a fixed sequence
-  // of slot operations for a fixed pattern, so refactorizations replay it —
-  // identical arithmetic, no column-map scatter or stored-position probing.
-  // pivot p divides slot pivot_slot_[p] by slot pivot_diag_[p], then
-  // applies upd_dst_[j] -= l * upd_src_[j] for its pivot_ptr_ range.
+  // of slot operations for a fixed pattern, so refactorizations replay it
+  // with identical arithmetic. The pivots of row i are its slots before
+  // the diagonal, in order; pivot p applies the next pivot_updates_[p]
+  // entries of updates_. Offsets are 16-bit, so a block with a row of
+  // 65536 or more entries records none and keeps the IKJ loop.
+  bool schedulable_ = false;
   bool sched_built_ = false;
-  std::vector<std::int32_t> pivot_slot_;
-  std::vector<std::int32_t> pivot_diag_;
-  std::vector<std::int64_t> pivot_ptr_;
-  std::vector<std::int32_t> upd_dst_;
-  std::vector<std::int32_t> upd_src_;
+  std::vector<std::uint16_t> pivot_updates_;
+  std::vector<Update> updates_;
 };
 
 /// Factory by name: "identity", "jacobi", "ssor", "ilu0".

@@ -681,6 +681,56 @@ TEST(DistSystemBuilder, DenseBlockWithPermutedGidsThrows) {
   }
 }
 
+TEST(DistSystemBuilder, RoutedColumnOutsideTheSendersTouchedSet) {
+  // Rank 0 touches {0, 1, 2} and rank 1 touches {2, 3, 4}, so rank 0 owns
+  // the shared gid 2. Rank 1 adds A(2, 0): a routed entry whose column it
+  // never touched. Only the owner may learn of gid 0; the sender's map
+  // stays its touched set (owned 3, 4; ghost 2). Slot A(2, 0) sums rank 0's
+  // two pieces in add order, then rank 1's routed piece.
+  const double x1 = 0.1, x2 = 1.0 / 3.0, v = 2.0 / 7.0;
+  const double d0 = 1.0 / 11.0, d1 = 3.0 / 13.0;
+  for_each_kernel_mode([&] {
+    auto rt = make_runtime(2);
+    rt.run([&](simmpi::Comm& comm) {
+      const bool sender = comm.rank() == 1;
+      DistSystemBuilder builder(
+          comm, sender ? std::vector<GlobalId>{2, 3, 4}
+                       : std::vector<GlobalId>{0, 1, 2});
+      for (int round = 0; round < 2; ++round) {
+        builder.begin_assembly();
+        if (sender) {
+          builder.add_matrix(3, 3, 1.0);
+          builder.add_matrix(4, 4, 1.0);
+          builder.add_matrix(2, 0, v);
+          builder.add_matrix(2, 2, d1);
+        } else {
+          builder.add_matrix(0, 0, 1.0);
+          builder.add_matrix(1, 1, 1.0);
+          builder.add_matrix(2, 0, x1);
+          builder.add_matrix(2, 2, d0);
+          builder.add_matrix(2, 0, x2);
+        }
+        builder.finalize(comm);
+        SCOPED_TRACE("round " + std::to_string(round));
+        const IndexMap& map = builder.map();
+        if (sender) {
+          std::vector<GlobalId> gids = map.gids();
+          std::sort(gids.begin(), gids.end());
+          EXPECT_EQ(gids, (std::vector<GlobalId>{2, 3, 4}));
+          EXPECT_EQ(map.ghost_count(), 1);
+        } else {
+          const CsrMatrix& a = builder.matrix().local();
+          const int row = map.local(2);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(a.at(row, map.local(0))),
+                    std::bit_cast<std::uint64_t>((x1 + x2) + v));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(a.at(row, row)),
+                    std::bit_cast<std::uint64_t>(d0 + d1));
+        }
+      }
+    });
+  });
+}
+
 struct BytesPerEntry {
   double plan = 0.0;      // plan_bytes()
   double retained = 0.0;  // plan_bytes() + send_buffer_bytes()

@@ -3,9 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 
+#include "fem/assembler.hpp"
+#include "fem/fe_space.hpp"
+#include "la/kernels.hpp"
 #include "la/system_builder.hpp"
+#include "mesh/box_mesh.hpp"
 #include "netsim/fabric.hpp"
 #include "simmpi/runtime.hpp"
 #include "solvers/krylov.hpp"
@@ -406,6 +413,252 @@ TEST(Preconditioner, JacobiRejectsZeroDiagonal) {
                  jacobi.build(builder.matrix());
                }),
                Error);
+}
+
+class ScopedKernelMode {
+ public:
+  explicit ScopedKernelMode(la::KernelMode mode) : saved_(la::kernel_mode()) {
+    la::set_kernel_mode(mode);
+  }
+  ~ScopedKernelMode() { la::set_kernel_mode(saved_); }
+  ScopedKernelMode(const ScopedKernelMode&) = delete;
+  ScopedKernelMode& operator=(const ScopedKernelMode&) = delete;
+
+ private:
+  la::KernelMode saved_;
+};
+
+std::vector<std::uint64_t> bit_patterns(std::span<const double> values) {
+  std::vector<std::uint64_t> bits;
+  bits.reserve(values.size());
+  for (const double v : values) {
+    bits.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+  return bits;
+}
+
+/// A test matrix: the gids a rank touches, and one assembly round's adds,
+/// which repeat the same (row, col) sequence with values that vary by
+/// round.
+struct TestMatrix {
+  std::function<std::vector<la::GlobalId>(const simmpi::Comm&)> touched;
+  std::function<void(const simmpi::Comm&, la::DistSystemBuilder&, int round)>
+      add;
+};
+
+/// Per rank, the bit patterns of the ILU(0) factor values and of one
+/// apply() output after each of three builds (the first, then two
+/// refactorizations after refills with changed values), and bytes() after
+/// the last build.
+struct Ilu0Trace {
+  std::vector<std::vector<std::vector<std::uint64_t>>> bits;
+  std::vector<std::size_t> bytes;
+};
+
+Ilu0Trace ilu0_trace(la::KernelMode mode, int ranks, const TestMatrix& m) {
+  ScopedKernelMode scoped(mode);
+  Ilu0Trace trace;
+  trace.bits.resize(static_cast<std::size_t>(ranks));
+  trace.bytes.resize(static_cast<std::size_t>(ranks));
+  auto rt = make_runtime(ranks);
+  rt.run([&](simmpi::Comm& comm) {
+    la::DistSystemBuilder builder(comm, m.touched(comm));
+    Ilu0Preconditioner ilu;
+    auto& out = trace.bits[static_cast<std::size_t>(comm.rank())];
+    for (int round = 0; round < 3; ++round) {
+      builder.begin_assembly();
+      m.add(comm, builder, round);
+      builder.finalize(comm);
+      ilu.build(builder.matrix());
+      const auto& map = builder.map();
+      la::DistVector r(map);
+      la::DistVector z(map);
+      for (int l = 0; l < map.owned_count(); ++l) {
+        r[l] = std::sin(0.37 * static_cast<double>(map.gid(l)) + round);
+      }
+      ilu.apply(r, z);
+      out.push_back(bit_patterns(ilu.factor_values()));
+      out.push_back(bit_patterns(z.owned()));
+    }
+    trace.bytes[static_cast<std::size_t>(comm.rank())] = ilu.bytes();
+  });
+  return trace;
+}
+
+/// Nonsymmetric band matrix with couplings at distance 1, 7 and 19, rows
+/// block-distributed: every rank of several has ghost columns, and the
+/// far couplings make ILU(0) apply many row updates. The diagonal
+/// dominates.
+constexpr la::GlobalId kBandRows = 90;
+constexpr la::GlobalId kBandOffsets[] = {-19, -7, -1, 1, 7, 19};
+
+TestMatrix band_matrix() {
+  auto rows = [](const simmpi::Comm& comm) {
+    const la::GlobalId per = (kBandRows + comm.size() - 1) / comm.size();
+    const la::GlobalId r0 = comm.rank() * per;
+    return std::pair{r0, std::min(kBandRows, r0 + per)};
+  };
+  TestMatrix m;
+  m.touched = [rows](const simmpi::Comm& comm) {
+    const auto [r0, r1] = rows(comm);
+    std::vector<la::GlobalId> touched;
+    for (la::GlobalId g = r0; g < r1; ++g) {
+      touched.push_back(g);
+      for (const la::GlobalId d : kBandOffsets) {
+        if (g + d >= 0 && g + d < kBandRows) {
+          touched.push_back(g + d);
+        }
+      }
+    }
+    return touched;
+  };
+  m.add = [rows](const simmpi::Comm& comm, la::DistSystemBuilder& builder,
+                 int round) {
+    const auto [r0, r1] = rows(comm);
+    for (la::GlobalId g = r0; g < r1; ++g) {
+      double off_sum = 0.0;
+      for (const la::GlobalId d : kBandOffsets) {
+        if (g + d >= 0 && g + d < kBandRows) {
+          const double v =
+              -(1.0 + 0.013 * static_cast<double>((g * 31 + d * 17 +
+                                                   round * 7) % 23)) /
+              3.0;
+          builder.add_matrix(g, g + d, v);
+          off_sum += std::fabs(v);
+        }
+      }
+      builder.add_matrix(g, g, off_sum + 0.7 + 0.1 * round);
+    }
+  };
+  return m;
+}
+
+TEST(Ilu0, FastFactorEqualsReferenceBitForBit) {
+  // The fast path refreshes values by row-prefix copies and replays a
+  // recorded elimination schedule; the reference path re-extracts the
+  // block and runs the IKJ loop every build. Every factor value and every
+  // apply() output must agree bit for bit, on every build.
+  for (const int ranks : {1, 3}) {
+    SCOPED_TRACE("ranks " + std::to_string(ranks));
+    const TestMatrix m = band_matrix();
+    const Ilu0Trace ref = ilu0_trace(la::KernelMode::kReference, ranks, m);
+    const Ilu0Trace fast = ilu0_trace(la::KernelMode::kFast, ranks, m);
+    for (int r = 0; r < ranks; ++r) {
+      const auto& bits = ref.bits[static_cast<std::size_t>(r)];
+      ASSERT_EQ(bits.size(), 6u);
+      ASSERT_FALSE(bits[0].empty());
+      EXPECT_EQ(fast.bits[static_cast<std::size_t>(r)], bits) << "rank " << r;
+      // The refills changed the factor.
+      EXPECT_NE(bits[2], bits[0]);
+      EXPECT_NE(bits[4], bits[2]);
+      // Only the fast path keeps an elimination schedule.
+      EXPECT_GT(fast.bytes[static_cast<std::size_t>(r)],
+                ref.bytes[static_cast<std::size_t>(r)]);
+    }
+  }
+}
+
+TEST(Ilu0, RowTooLongForTheScheduleFallsBackToIkj) {
+  // An arrow matrix whose last row is dense with 65536 entries: its slot
+  // offsets do not fit the schedule's 16 bits, so the fast path records
+  // nothing and refactorizes with the IKJ loop. Every other row has two
+  // entries, so this stays cheap.
+  constexpr la::GlobalId n = 65536;
+  TestMatrix m;
+  m.touched = [](const simmpi::Comm&) {
+    std::vector<la::GlobalId> touched(static_cast<std::size_t>(n));
+    for (la::GlobalId g = 0; g < n; ++g) {
+      touched[static_cast<std::size_t>(g)] = g;
+    }
+    return touched;
+  };
+  m.add = [](const simmpi::Comm&, la::DistSystemBuilder& builder, int round) {
+    for (la::GlobalId g = 0; g + 1 < n; ++g) {
+      const double v = -0.5 - 0.01 * static_cast<double>((g + round) % 13);
+      builder.add_matrix(g, g, 4.0 + 0.1 * round);
+      builder.add_matrix(g, n - 1, v);
+      builder.add_matrix(n - 1, g, v / 3.0);
+    }
+    builder.add_matrix(n - 1, n - 1, 1e5 + round);
+  };
+  const Ilu0Trace ref = ilu0_trace(la::KernelMode::kReference, 1, m);
+  const Ilu0Trace fast = ilu0_trace(la::KernelMode::kFast, 1, m);
+  EXPECT_EQ(fast.bits, ref.bits);
+  // No schedule: the factor image and the per-row arrays only.
+  const std::size_t nnz = 3 * static_cast<std::size_t>(n) - 2;
+  const std::size_t rows = static_cast<std::size_t>(n);
+  EXPECT_EQ(fast.bytes[0], 12 * nnz + 8 * (rows + 1) + 16 * rows);
+  EXPECT_EQ(ref.bytes[0], fast.bytes[0]);
+}
+
+TEST(Ilu0, BytesMatchTheDocumentedLayoutOnP2) {
+  // RD's P2 mass+stiffness pattern on one rank. The fast factor keeps
+  // 12 B per owned nonzero, 24 B per row (+8), 2 B per pivot and 4 B per
+  // update, sized exactly; the pivot and update counts come from a
+  // symbolic IKJ pass over the pattern here.
+  ScopedKernelMode scoped(la::KernelMode::kFast);
+  auto rt = make_runtime(1);
+  rt.run([&](simmpi::Comm& comm) {
+    mesh::BoxMeshSpec spec{4, 4, 4};
+    const auto mesh = mesh::build_box_mesh(spec);
+    fem::FeSpace space(mesh, 2, spec.vertex_count());
+    fem::ElementKernel kernel(space, 4);
+    const auto n = static_cast<std::size_t>(kernel.n());
+    std::vector<double> me(n * n), ke(n * n), ae(n * n);
+    std::vector<la::GlobalId> gids(n);
+    la::DistSystemBuilder builder(comm, space.dof_gids());
+    auto assemble = [&](double dt) {
+      builder.begin_assembly();
+      for (std::size_t t = 0; t < mesh.tet_count(); ++t) {
+        kernel.mass(t, me);
+        kernel.stiffness(t, ke);
+        for (std::size_t j = 0; j < n * n; ++j) {
+          ae[j] = me[j] / dt + ke[j];
+        }
+        space.tet_dof_gids(t, gids);
+        builder.add_dense_block(gids, gids, ae);
+      }
+      builder.finalize(comm);
+    };
+    assemble(0.05);
+    Ilu0Preconditioner ilu;
+    ilu.build(builder.matrix());
+
+    const la::CsrMatrix& a = builder.matrix().local();
+    const int rows = a.rows();
+    const auto row_ptr = a.row_ptr();
+    const auto col = a.col_idx();
+    std::size_t pivots = 0;
+    std::size_t updates = 0;
+    std::vector<int> mark(static_cast<std::size_t>(rows), -1);
+    for (int i = 0; i < rows; ++i) {
+      for (auto s = row_ptr[static_cast<std::size_t>(i)];
+           s < row_ptr[static_cast<std::size_t>(i) + 1]; ++s) {
+        mark[static_cast<std::size_t>(col[static_cast<std::size_t>(s)])] = i;
+      }
+      for (auto s = row_ptr[static_cast<std::size_t>(i)];
+           col[static_cast<std::size_t>(s)] < i; ++s) {
+        const int k = col[static_cast<std::size_t>(s)];
+        ++pivots;
+        for (auto u = row_ptr[static_cast<std::size_t>(k)];
+             u < row_ptr[static_cast<std::size_t>(k) + 1]; ++u) {
+          const int c = col[static_cast<std::size_t>(u)];
+          updates += c > k && mark[static_cast<std::size_t>(c)] == i;
+        }
+      }
+    }
+    ASSERT_EQ(a.cols(), rows);  // one rank: no ghost columns
+    const auto nnz = static_cast<std::size_t>(a.nonzeros());
+    const auto n_rows = static_cast<std::size_t>(rows);
+    const std::size_t expected =
+        12 * nnz + 8 * (n_rows + 1) + 16 * n_rows + 2 * pivots + 4 * updates;
+    EXPECT_GT(updates, nnz);
+    EXPECT_EQ(ilu.bytes(), expected);
+    // A refactorization after a refill replays and allocates nothing.
+    assemble(0.025);
+    ilu.build(builder.matrix());
+    EXPECT_EQ(ilu.bytes(), expected);
+  });
 }
 
 }  // namespace
